@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from .errors import (ConfigError, DegenerateQueryError, FormatError,
 from .models import (GaussianOracleDenoiser, GaussianOracleStats,
                      GlobalRestorer, PatchDiT, make_dit_gaussian_objective,
                      make_grm_objective, train_toy)
-from .pipeline import PipelineConfig, SyntheticScene, make_scene
+from .pipeline import PipelineConfig, make_scene
 from .rtm import (TextureExtractor, build_memory, extract_query, load_memory,
                   retrieve_topk, save_memory)
 from .tiling import decompose
@@ -40,10 +39,10 @@ def _build_config(args) -> PipelineConfig:
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
-    if getattr(args, "tau", None):
-        overrides["taus"] = tuple(int(s) for s in args.tau.split(","))
-    if getattr(args, "steps", None):
-        overrides["steps"] = tuple(int(s) for s in args.steps.split(","))
+    for flag, key in (("tau", "taus"), ("steps", "steps")):
+        val = getattr(args, flag, None)
+        if val:
+            overrides[key] = pipeline.coerce_field(key, val)
     try:
         return PipelineConfig(**overrides)
     except TypeError as e:

@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class GridShapeError(ValueError):
-    """Latent grid shapes disagree with what an operation requires."""
+    """Grid shapes disagree with what an operation requires."""
 
 
 class NumericError(ArithmeticError):

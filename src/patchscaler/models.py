@@ -407,11 +407,6 @@ class GlobalRestorer:
         return loss, grads
 
 
-def grm_restore(model: GlobalRestorer, y_lr: np.ndarray):
-    """Coarse HR estimate plus its confidence map."""
-    return model.forward(y_lr)
-
-
 # ---------------------------------------------------------------------------
 # training
 

@@ -1,8 +1,8 @@
-"""Patch-adaptive group sampling: planning, grouped ladders, NFE accounting."""
+"""Patch-adaptive group sampling: grouped ladders, NFE accounting."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,23 +11,21 @@ from .errors import ConfigError
 from .schedule import (NoiseSchedule, make_substeps, reverse_step,
                        truncated_forward)
 
-DEFAULT_TAUS = {GroupLabel.SIMPLE: 400, GroupLabel.MEDIUM: 700,
-                GroupLabel.HARD: 1000}
-DEFAULT_STEPS = {GroupLabel.SIMPLE: 8, GroupLabel.MEDIUM: 14,
-                 GroupLabel.HARD: 20}
+_ORDER = {label: i for i, label in enumerate(GroupLabel)}
 
 
 @dataclass(frozen=True)
 class GroupConfig:
-    """Per-group (intermediate step tau, sampling step count n)."""
+    """Per-group (intermediate step tau, sampling step count n), each a
+    (simple, medium, hard) tuple."""
 
-    taus: dict = field(default_factory=lambda: dict(DEFAULT_TAUS))
-    steps: dict = field(default_factory=lambda: dict(DEFAULT_STEPS))
+    taus: tuple[int, int, int] = (400, 700, 1000)
+    steps: tuple[int, int, int] = (8, 14, 20)
 
     def __post_init__(self):
-        order = [GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD]
-        taus = [self.taus[g] for g in order]
-        steps = [self.steps[g] for g in order]
+        taus, steps = self.taus, self.steps
+        if len(taus) != 3 or len(steps) != 3:
+            raise ConfigError("taus and steps need one value per group (S, M, H)")
         if not (taus[0] <= taus[1] <= taus[2]):
             raise ConfigError(f"taus must be non-decreasing S<=M<=H, got {taus}")
         if not (steps[0] <= steps[1] <= steps[2]):
@@ -37,7 +35,8 @@ class GroupConfig:
                 raise ConfigError(f"n={n} exceeds tau={tau}")
 
     def for_label(self, label: GroupLabel) -> tuple[int, int]:
-        return self.taus[label], self.steps[label]
+        i = _ORDER[label]
+        return self.taus[i], self.steps[i]
 
 
 @dataclass
@@ -76,11 +75,6 @@ class CountingDenoiser:
     def __call__(self, x_t, t, prompt=None):
         self.calls += 1
         return self.denoiser(x_t, t, prompt)
-
-
-def plan(qmap, cfg: GroupConfig) -> list[tuple[int, int]]:
-    """Per-patch (tau, n) assignment; pure lookup by group label."""
-    return [cfg.for_label(label) for label in qmap]
 
 
 def _patch_rng(seed: int, index: int) -> np.random.Generator:
@@ -127,7 +121,7 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,
     t0 = time.perf_counter()
     results: list[np.ndarray | None] = [None] * len(patches)
     group_counts, group_nfe = {}, {}
-    for label in (GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD):
+    for label in GroupLabel:
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
         tau, n = cfg.for_label(label)
@@ -139,21 +133,12 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,
                              indices=idx)
         for i, r in zip(idx, restored):
             results[i] = r
-    n_hard = cfg.steps[GroupLabel.HARD]
     report = PgsReport(
         group_counts=group_counts,
         group_nfe=group_nfe,
         total_nfe=sum(group_nfe.values()),
-        unified_nfe=len(patches) * n_hard,
+        unified_nfe=len(patches) * cfg.for_label(GroupLabel.HARD)[1],
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return results, report
 
-
-def compare_unified(denoiser, s: NoiseSchedule, patches, n_unified: int,
-                    prompts=None, seed: int = 0):
-    """Baseline: every patch gets the full tau=T ladder with n_unified steps."""
-    cfg = GroupConfig(taus={g: s.T for g in GroupLabel},
-                      steps={g: n_unified for g in GroupLabel})
-    qmap = [GroupLabel.HARD] * len(patches)
-    return run_pgs(denoiser, s, patches, qmap, cfg, prompts=prompts, seed=seed)

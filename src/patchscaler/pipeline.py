@@ -1,32 +1,30 @@
-"""End-to-end orchestration: synthetic data, encode/decode, inference, benchmark."""
+"""End-to-end orchestration: synthetic data, inference, benchmark."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .colornorm import wavelet_color_normalize
-from .confidence import GroupLabel, Thresholds, build_qmap
+from .confidence import Thresholds, build_qmap
 from .errors import (ConfigError, DegenerateQueryError, GridShapeError,
                      StageError)
-from .pgs import GroupConfig, PgsReport, run_pgs
+from .pgs import GroupConfig, run_pgs
 from .rtm import retrieve_topk
 from .schedule import NoiseSchedule, build_linear_schedule
 from .tiling import decompose, recompose
 
-_LABELS = (GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    d: int = 1                    # latent downsample factor; 1 = identity encoder
     patch: int = 16
     overlap: int = 4
     gamma1: float = 0.95
     gamma2: float = 0.75
-    taus: tuple[int, int, int] = (400, 700, 1000)
-    steps: tuple[int, int, int] = (8, 14, 20)
+    taus: tuple[int, int, int] = GroupConfig.taus     # (simple, medium, hard)
+    steps: tuple[int, int, int] = GroupConfig.steps
     T: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
@@ -37,17 +35,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d not in (1, 2, 4):
-            raise ConfigError(f"downsample factor must be 1, 2 or 4, got {self.d}")
         if self.factor < 1:
             raise ConfigError("factor must be >= 1")
+        if not 0 <= self.overlap < self.patch:
+            raise ConfigError(f"overlap must be in [0, patch), got {self.overlap} "
+                              f"for patch {self.patch}")
+        self.group_config()  # S<=M<=H order and n <= tau
+        if self.taus[2] > self.T:
+            raise ConfigError(f"hard tau {self.taus[2]} exceeds T={self.T}")
 
     def thresholds(self) -> Thresholds:
         return Thresholds(self.gamma1, self.gamma2)
 
     def group_config(self) -> GroupConfig:
-        return GroupConfig(taus=dict(zip(_LABELS, self.taus)),
-                           steps=dict(zip(_LABELS, self.steps)))
+        return GroupConfig(self.taus, self.steps)
 
     def schedule(self) -> NoiseSchedule:
         return build_linear_schedule(self.T, self.beta_start, self.beta_end)
@@ -55,7 +56,6 @@ class PipelineConfig:
 
 def parse_config_file(path) -> dict:
     """key value (or key=value) lines mirroring PipelineConfig field names."""
-    fields = {f.name: f.type for f in PipelineConfig.__dataclass_fields__.values()}
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -67,23 +67,28 @@ def parse_config_file(path) -> dict:
             else:
                 key, _, val = line.partition(" ")
                 val = val.strip()
-            if key not in fields:
+            if key not in PipelineConfig.__dataclass_fields__:
                 raise ConfigError(f"unknown config key '{key}'")
-            out[key] = _coerce(key, val)
+            out[key] = coerce_field(key, val)
     return out
 
 
-def _coerce(key: str, val: str):
-    if key in ("taus", "steps"):
-        parts = tuple(int(p) for p in val.split(","))
-        if len(parts) != 3:
-            raise ConfigError(f"'{key}' needs three comma-separated values")
-        return parts
-    if key == "colornorm":
-        return val.lower() in ("1", "true", "yes", "on")
-    if key in ("gamma1", "gamma2", "beta_start", "beta_end"):
-        return float(val)
-    return int(val)
+def coerce_field(key: str, val: str):
+    """Parse the text of one PipelineConfig field; bad text is a ConfigError."""
+    try:
+        if key in ("taus", "steps"):
+            parts = tuple(int(p) for p in val.split(","))
+        elif key == "colornorm":
+            return val.lower() in ("1", "true", "yes", "on")
+        elif key in ("gamma1", "gamma2", "beta_start", "beta_end"):
+            return float(val)
+        else:
+            return int(val)
+    except ValueError as e:
+        raise ConfigError(f"bad value '{val}' for '{key}'") from e
+    if len(parts) != 3:
+        raise ConfigError(f"'{key}' needs three comma-separated values")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +157,12 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# simple encoder / decoder stand-in
+# inference
 
 def nearest_upsample(img: np.ndarray, f: int) -> np.ndarray:
     if f == 1:
         return img.copy()
     return np.repeat(np.repeat(img, f, axis=1), f, axis=2)
-
-
-def encode(img: np.ndarray, d: int) -> np.ndarray:
-    """Average-pool by d; d=1 is the identity."""
-    if d == 1:
-        return img.copy()
-    c, h, w = img.shape
-    if h % d or w % d:
-        raise GridShapeError(f"{h}x{w} not divisible by d={d}")
-    return img.reshape(c, h // d, d, w // d, d).mean(axis=(2, 4))
-
-
-def decode(latent: np.ndarray, d: int) -> np.ndarray:
-    """Nearest-neighbor unpool by d; d=1 is the identity."""
-    if d == 1:
-        return latent.copy()
-    return nearest_upsample(latent, d)
 
 
 def _pad_to_multiple(img: np.ndarray, m: int):
@@ -186,43 +174,39 @@ def _pad_to_multiple(img: np.ndarray, m: int):
     return img, (h, w)
 
 
-# ---------------------------------------------------------------------------
-# inference
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as StageError(name, cause)."""
+    try:
+        yield
+    except Exception as e:  # noqa: BLE001
+        raise StageError(name, e) from e
+
 
 def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
                  memory=None, extractor=None, seed: int | None = None):
     """Full restoration pass; returns (sr_image, PgsReport).
 
-    Stages: upsample -> encode -> coarse restore -> quantified map ->
-    per-patch retrieval -> grouped sampling -> recompose -> decode ->
-    wavelet color normalization.
+    Stages: upsample -> coarse restore -> quantified map -> per-patch
+    retrieval -> grouped sampling -> recompose -> wavelet color
+    normalization.
     """
     seed = cfg.seed if seed is None else seed
     schedule = cfg.schedule()
-    m = int(np.lcm(cfg.d, 1 << cfg.levels))
-    try:
+    with _stage("upsample"):
         lr_up = nearest_upsample(lr_image, cfg.factor)
-        lr_up, orig = _pad_to_multiple(lr_up, m)
-    except Exception as e:  # noqa: BLE001
-        raise StageError("upsample", e) from e
-    try:
-        latent = encode(lr_up, cfg.d)
-    except Exception as e:  # noqa: BLE001
-        raise StageError("encode", e) from e
-    try:
-        y_hr, conf = grm(latent)
-    except Exception as e:  # noqa: BLE001
-        raise StageError("grm", e) from e
-    try:
+        # the Haar color fix needs sides divisible by 2**levels
+        lr_up, orig = _pad_to_multiple(lr_up, 1 << cfg.levels)
+    with _stage("grm"):
+        y_hr, conf = grm(lr_up)
+    with _stage("qmap"):
         patches, grid = decompose(y_hr, cfg.patch, cfg.overlap)
         qmap = build_qmap(conf, grid, cfg.thresholds())
-    except Exception as e:  # noqa: BLE001
-        raise StageError("qmap", e) from e
     prompts = None
     if memory is not None:
-        if extractor is None:
-            raise StageError("retrieve", ConfigError("memory given without extractor"))
-        try:
+        with _stage("retrieve"):
+            if extractor is None:
+                raise ConfigError("memory given without extractor")
             prompts = []
             for p in patches:
                 try:
@@ -230,22 +214,15 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
                                                  extractor, cfg.topk))
                 except DegenerateQueryError:
                     prompts.append(None)  # unconditional fallback
-        except Exception as e:  # noqa: BLE001
-            raise StageError("retrieve", e) from e
-    try:
+    with _stage("pgs"):
         restored, report = run_pgs(denoiser, schedule, patches, qmap,
                                    cfg.group_config(), prompts=prompts,
                                    seed=seed)
-    except Exception as e:  # noqa: BLE001
-        raise StageError("pgs", e) from e
-    try:
-        merged = recompose(restored, grid)
-        sr = decode(merged, cfg.d)
+    with _stage("recompose"):
+        sr = recompose(restored, grid)
         if cfg.colornorm:
             sr = wavelet_color_normalize(sr, lr_up, cfg.levels)
         sr = sr[:, :orig[0], :orig[1]]
-    except Exception as e:  # noqa: BLE001
-        raise StageError("recompose", e) from e
     return sr.astype(np.float32), report
 
 

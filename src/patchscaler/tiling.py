@@ -1,4 +1,4 @@
-"""Overlapping patch decomposition / recomposition and group partitioning."""
+"""Overlapping patch decomposition and recomposition."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -31,13 +31,6 @@ class PatchGrid:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class BlendWeights:
-    """Per-cell recomposition weights: 1 / coverage count, shape (h, w)."""
-
-    weights: np.ndarray
-
-
 def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarray], PatchGrid]:
     """Split (c, h, w) into row-major overlapping V x V patches."""
     if feature.ndim != 3:
@@ -55,42 +48,27 @@ def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarra
     return patches, grid
 
 
-def blend_weights(grid: PatchGrid) -> BlendWeights:
+def blend_weights(grid: PatchGrid) -> np.ndarray:
+    """Per-cell recomposition weights: 1 / coverage count, shape (h, w)."""
     _, h, w = grid.shape
     cover = np.zeros((h, w), dtype=np.float64)
     for top, left in grid.coords:
         cover[top:top + grid.V, left:left + grid.V] += 1.0
     if np.any(cover == 0):
         raise GridShapeError("patch grid does not cover the source grid")
-    return BlendWeights(weights=1.0 / cover)
+    return 1.0 / cover
 
 
-def recompose(patches: list[np.ndarray], grid: PatchGrid,
-              weights: BlendWeights | None = None) -> np.ndarray:
+def recompose(patches: list[np.ndarray], grid: PatchGrid) -> np.ndarray:
     """Uniform-average blend of patches back onto the source grid."""
     if len(patches) != grid.count:
         raise GridShapeError(f"expected {grid.count} patches, got {len(patches)}")
     c, h, w = grid.shape
-    if weights is None:
-        weights = blend_weights(grid)
     acc = np.zeros((c, h, w), dtype=np.float64)
     for (top, left), p in zip(grid.coords, patches):
         if p.shape != (c, grid.V, grid.V):
             raise GridShapeError(f"patch shape {p.shape} != {(c, grid.V, grid.V)}")
         acc[:, top:top + grid.V, left:left + grid.V] += p
-    out = acc * weights.weights[None, :, :]
+    out = acc * blend_weights(grid)[None, :, :]
     return out.astype(patches[0].dtype, copy=False)
 
-
-def partition_by_group(grid: PatchGrid, qmap) -> tuple[list[int], list[int], list[int]]:
-    """Split patch indices into (simple, medium, hard) lists, order preserved."""
-    from .confidence import GroupLabel
-
-    if len(qmap) != grid.count:
-        raise GridShapeError(f"qmap has {len(qmap)} labels for {grid.count} patches")
-    simple, medium, hard = [], [], []
-    buckets = {GroupLabel.SIMPLE: simple, GroupLabel.MEDIUM: medium,
-               GroupLabel.HARD: hard}
-    for i, label in enumerate(qmap):
-        buckets[label].append(i)
-    return simple, medium, hard

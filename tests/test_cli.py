@@ -90,9 +90,24 @@ def test_exit_code_config_error(tmp_path, capsys):
     rc = cli.main(["bench", "--size", "32x32", "--config", str(cfg)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    cfg.write_text("patch abc\n")
+    assert cli.main(["bench", "--size", "32x32", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
     assert cli.main(["bench", "--size", "banana"]) == 2
     # invalid group schedule surfaces as a config failure too
     assert cli.main(["bench", "--size", "32x32", "--steps", "30,14,20"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--steps", "8,14"], ["--tau", "a,b,c"],
+                                   ["--steps", "20,14,8"],
+                                   ["--tau", "400,700,2000"]])
+def test_bad_group_flags_fail_at_parse_time(tmp_path, capsys, flags):
+    # the input file is missing, so exit 2 (not 3) shows the config was
+    # rejected before anything was loaded or run
+    rc = cli.main(["sr", "--input", str(tmp_path / "missing.psg"),
+                   "--output", str(tmp_path / "out.psg"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_exit_code_io_error(tmp_path, capsys):

@@ -4,10 +4,8 @@ import pytest
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError
 from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
-from patchscaler.pgs import (DEFAULT_STEPS, DEFAULT_TAUS, CountingDenoiser,
-                             GroupConfig, compare_unified, plan, run_group,
-                             run_pgs)
-from patchscaler.schedule import build_linear_schedule
+from patchscaler.pgs import CountingDenoiser, GroupConfig, run_group, run_pgs
+from patchscaler.pipeline import PipelineConfig, _unified_cfg
 
 S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
 
@@ -25,16 +23,19 @@ def test_group_config_defaults_and_plan():
     assert cfg.for_label(S) == (400, 8)
     assert cfg.for_label(M) == (700, 14)
     assert cfg.for_label(H) == (1000, 20)
-    assert plan([M, S, H], cfg) == [(700, 14), (400, 8), (1000, 20)]
+    assert [cfg.for_label(g) for g in [M, S, H]] == [(700, 14), (400, 8), (1000, 20)]
+    assert cfg == PipelineConfig().group_config()
 
 
 def test_group_config_validation():
     with pytest.raises(ConfigError):
-        GroupConfig(taus={S: 800, M: 700, H: 1000})
+        GroupConfig(taus=(800, 700, 1000))
     with pytest.raises(ConfigError):
-        GroupConfig(steps={S: 30, M: 14, H: 20})
+        GroupConfig(steps=(30, 14, 20))
     with pytest.raises(ConfigError):
-        GroupConfig(taus={S: 4, M: 700, H: 1000})  # n=8 > tau=4
+        GroupConfig(taus=(4, 700, 1000))  # n=8 > tau=4
+    with pytest.raises(ConfigError):
+        GroupConfig(steps=(8, 14))
 
 
 def test_run_group_single_step_single_call(schedule1000):
@@ -143,13 +144,15 @@ def test_run_pgs_empty_groups(schedule1000):
         run_pgs(_oracle(schedule1000), schedule1000, patches, [S, S], GroupConfig())
 
 
-def test_compare_unified_is_all_hard(schedule1000):
+def test_unified_cfg_is_all_hard(schedule1000):
+    # the unified baseline gives every group the full tau=T, n_unified ladder,
+    # so any labelling samples exactly like an all-Hard one
     rng = np.random.Generator(np.random.PCG64(9))
     patches = _patches(rng, 4)
     d = _oracle(schedule1000)
-    uni, rep_u = compare_unified(d, schedule1000, patches, 20, seed=4)
-    cfg = GroupConfig(taus={g: 1000 for g in GroupLabel},
-                      steps={g: 20 for g in GroupLabel})
+    cfg = _unified_cfg(PipelineConfig(), 20).group_config()
+    assert all(cfg.for_label(g) == (1000, 20) for g in GroupLabel)
+    uni, rep_u = run_pgs(d, schedule1000, patches, [S, M, H, S], cfg, seed=4)
     ref, rep_r = run_pgs(d, schedule1000, patches, [H] * 4, cfg, seed=4)
     for a, b in zip(uni, ref):
         assert np.array_equal(a, b)
@@ -163,7 +166,8 @@ def test_budget_monotone_in_steps(schedule1000):
     prev = 0
     for n in (2, 8, 32):
         counted = CountingDenoiser(_oracle(schedule1000))
-        _, report = compare_unified(counted, schedule1000, patches, n)
+        cfg = GroupConfig(taus=(1000,) * 3, steps=(n,) * 3)
+        _, report = run_pgs(counted, schedule1000, patches, [H] * 4, cfg)
         assert report.total_nfe == counted.calls == 4 * n
         assert report.total_nfe > prev
         prev = report.total_nfe
@@ -195,5 +199,6 @@ def test_report_to_text(schedule1000):
 
 
 def test_default_tables_consistent():
-    assert DEFAULT_TAUS[S] < DEFAULT_TAUS[M] < DEFAULT_TAUS[H]
-    assert DEFAULT_STEPS[S] < DEFAULT_STEPS[M] < DEFAULT_STEPS[H]
+    cfg = GroupConfig()
+    assert cfg.taus[0] < cfg.taus[1] < cfg.taus[2]
+    assert cfg.steps[0] < cfg.steps[1] < cfg.steps[2]

@@ -8,7 +8,7 @@ from patchscaler.errors import (ConfigError, GridShapeError,
 from patchscaler.gridio import export_pnm, load_grid, save_grid
 from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
 from patchscaler.pipeline import (PipelineConfig, benchmark, benchmark_sweep,
-                                  decode, encode, format_benchmark,
+                                  format_benchmark,
                                   make_scene, nearest_upsample,
                                   parse_config_file, superresolve,
                                   synth_degrade)
@@ -46,22 +46,20 @@ def test_synth_degrade_noise_level():
     assert np.std(lr) == pytest.approx(0.2, rel=0.05)
 
 
-def test_encode_decode_examples():
+def test_nearest_upsample_examples():
     img = np.array([[[1.0, 3.0], [5.0, 7.0]]], np.float32)
-    assert np.allclose(encode(img, 2), [[[4.0]]])
-    assert np.array_equal(encode(img, 1), img)
-    up = decode(np.array([[[2.0]]], np.float32), 2)
-    assert np.allclose(up, 2.0) and up.shape == (1, 2, 2)
-    assert np.array_equal(nearest_upsample(img, 2)[0, :2, :2], np.full((2, 2), 1.0))
-    with pytest.raises(GridShapeError):
-        encode(np.zeros((1, 3, 4), np.float32), 2)
+    up = nearest_upsample(img, 2)
+    assert up.shape == (1, 4, 4)
+    assert np.array_equal(up[0, :2, :2], np.full((2, 2), 1.0))
 
 
 def test_config_validation_and_builders():
     with pytest.raises(ConfigError):
-        PipelineConfig(d=3)
-    with pytest.raises(ConfigError):
         PipelineConfig(factor=0)
+    for bad in ({"steps": (20, 14, 8)}, {"taus": (400, 700, 2000)},
+                {"steps": (8, 14)}, {"overlap": 16}, {"overlap": -1}):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad)
     cfg = PipelineConfig()
     assert cfg.thresholds().gamma1 == 0.95
     gc = cfg.group_config()
@@ -88,9 +86,10 @@ def test_parse_config_file(tmp_path):
     bad.write_text("no_such_key 1\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
-    bad.write_text("taus 1,2\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(bad)
+    for text in ("taus 1,2\n", "taus a,b,c\n", "patch abc\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config_file(bad)
 
 
 def test_make_scene_contract():

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError, GridShapeError
-from patchscaler.tiling import (blend_weights, decompose, partition_by_group,
-                                recompose)
+from patchscaler.tiling import blend_weights, decompose, recompose
 
 
 def test_decompose_no_overlap():
@@ -65,7 +63,7 @@ def test_partition_of_unity_weights():
     w = blend_weights(grid)
     cover = np.zeros((20, 20))
     for top, left in grid.coords:
-        cover[top:top + 8, left:left + 8] += w.weights[top:top + 8, left:left + 8]
+        cover[top:top + 8, left:left + 8] += w[top:top + 8, left:left + 8]
     assert np.max(np.abs(cover - 1.0)) <= 1e-6
 
 
@@ -79,17 +77,6 @@ def test_random_shapes_roundtrip():
         x = rng.standard_normal((2, h, w)).astype(np.float32)
         patches, grid = decompose(x, v, overlap)
         assert np.max(np.abs(recompose(patches, grid) - x)) <= 1e-6
-
-
-def test_partition_by_group():
-    _, grid = decompose(np.zeros((1, 8, 8), np.float32), 4, 0)
-    S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
-    simple, medium, hard = partition_by_group(grid, [S, H, M, S])
-    assert (simple, medium, hard) == ([0, 3], [2], [1])
-    simple, medium, hard = partition_by_group(grid, [S, S, S, S])
-    assert simple == [0, 1, 2, 3] and not medium and not hard
-    with pytest.raises(GridShapeError):
-        partition_by_group(grid, [S, S])
 
 
 def test_recompose_count_mismatch():
