@@ -1,6 +1,8 @@
 """Raw grid file I/O: PSG1 float grids plus 8-bit PGM/PPM export."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import (DimensionMismatchError, GridShapeError,
@@ -27,11 +29,16 @@ def load_grid(path) -> np.ndarray:
             raise MagicMismatchError(f"not a PSG1 grid file: {header[:16]!r}")
         if len(parts) != 4:
             raise DimensionMismatchError(f"malformed header {header!r}")
-        c, h, w = (int(p) for p in parts[1:])
+        try:
+            c, h, w = (int(p) for p in parts[1:])
+        except ValueError as e:
+            raise DimensionMismatchError(f"malformed header {header!r}") from e
+        if min(c, h, w) < 1:
+            raise DimensionMismatchError(f"grid dimensions must be positive: {header!r}")
         nbytes = 4 * c * h * w
-        raw = f.read(nbytes)
-        if len(raw) < nbytes:
+        if os.fstat(f.fileno()).st_size - f.tell() < nbytes:
             raise TruncatedFileError("grid payload truncated")
+        raw = f.read(nbytes)
     return np.frombuffer(raw, dtype="<f4").reshape(c, h, w).copy()
 
 

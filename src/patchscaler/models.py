@@ -185,8 +185,19 @@ class PatchDiT:
         cache = (tokens, te, h0, s_in, pt, pcache, blocks, h)
         return out, cache
 
-    def __call__(self, x_t: np.ndarray, t: int, prompt=None) -> np.ndarray:
-        out = self.forward(x_t, t, prompt)
+    def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
+        """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts.
+
+        Runs forward once per patch: batched float64 attention was slower
+        than this loop on a 2-core CPU.
+        """
+        if x_t.ndim != 4:
+            raise GridShapeError(f"expected a (B, c, V, V) batch, got {x_t.shape}")
+        if prompts is None:
+            prompts = [None] * len(x_t)
+        if len(prompts) != len(x_t):
+            raise ConfigError(f"{len(prompts)} prompts for {len(x_t)} patches")
+        out = np.stack([self.forward(x, t, p) for x, p in zip(x_t, prompts)])
         return out.astype(x_t.dtype, copy=False)
 
     # -- backward -----------------------------------------------------------
@@ -303,25 +314,42 @@ class GaussianOracleDenoiser:
         self.stats = stats
         self.schedule = schedule
 
-    def __call__(self, x_t: np.ndarray, t: int, prompt=None) -> np.ndarray:
+    def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
+        # elementwise, so a (B, c, V, V) batch needs no loop; no prompts used
         return denoise_gaussian_oracle(self.stats, self.schedule, x_t, t)
 
 
 # ---------------------------------------------------------------------------
 # GRM: coarse restorer + confidence head
 
-def _conv3x3_forward(x, w, b):
-    c, h_, w_ = x.shape
+def _windows(x):
+    """(h, w, c, 3, 3) view of the zero-padded 3x3 neighbourhood of each cell."""
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_ * w_, c * 9)
-    y = cols @ w.reshape(len(w), -1).T + b
-    return y.reshape(h_, w_, len(w)).transpose(2, 0, 1), cols
+    return win.transpose(1, 2, 0, 3, 4)
 
 
-def _conv3x3_backward(dy, cols, x_shape, w):
+def _conv3x3_forward(x, w, b):
+    # im2col + GEMM in bands of about 4096 output cells: the full column
+    # matrix of a 512x512 input would take ~300 MB.  Each band feeds the same
+    # rows to the same GEMM, so the output equals the unbanded one bit for bit.
+    c, h_, w_ = x.shape
     f = len(w)
-    c, h_, w_ = x_shape
+    win = _windows(x)
+    wt = w.reshape(f, -1).T
+    y = np.empty((h_, w_, f))
+    band = max(1, 4096 // w_)
+    for r in range(0, h_, band):
+        np.matmul(win[r:r + band].reshape(-1, c * 9), wt,
+                  out=y[r:r + band].reshape(-1, f))
+    y += b
+    return y.transpose(2, 0, 1)
+
+
+def _conv3x3_backward(dy, x, w):
+    f = len(w)
+    c, h_, w_ = x.shape
+    cols = _windows(x).reshape(h_ * w_, c * 9)
     dyc = dy.transpose(1, 2, 0).reshape(h_ * w_, f)
     dw = (dyc.T @ cols).reshape(w.shape)
     db = dyc.sum(axis=0)
@@ -361,10 +389,8 @@ class GlobalRestorer:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
         x = y_lr.astype(np.float64)
-        a1, cols1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"])
-        h1 = np.tanh(a1)
-        a2, cols2 = _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"])
-        h2 = np.tanh(a2)
+        h1 = np.tanh(_conv3x3_forward(x, p["conv1.w"], p["conv1.b"]))
+        h2 = np.tanh(_conv3x3_forward(h1, p["conv2.w"], p["conv2.b"]))
         feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
         y_hr = x + feat
         z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]
@@ -372,7 +398,7 @@ class GlobalRestorer:
         conf = CONF_FLOOR + (1.0 - CONF_FLOOR) * sig
         if not want_cache:
             return y_hr, conf
-        return y_hr, conf, (x, cols1, h1, cols2, h2, sig)
+        return y_hr, conf, (x, h1, h2, sig)
 
     def __call__(self, y_lr: np.ndarray):
         return self.forward(y_lr)
@@ -382,7 +408,7 @@ class GlobalRestorer:
         """Confidence-driven loss through both heads, with parameter grads."""
         p = self.params
         y_hr, conf, cache = self.forward(y_lr, want_cache=True)
-        x, cols1, h1, cols2, h2, sig = cache
+        x, h1, h2, sig = cache
         loss, d_y, d_c = confidence_loss_and_grads(y_hr, x_hr, conf, p_loss)
 
         grads = {k: np.zeros_like(v) for k, v in p.items()}
@@ -397,11 +423,11 @@ class GlobalRestorer:
         d_h2 += np.einsum("cf,chw->fhw", p["feat.w"], d_y)
         # trunk
         d_a2 = d_h2 * (1.0 - h2 * h2)
-        dw2, db2, d_h1 = _conv3x3_backward(d_a2, cols2, h1.shape, p["conv2.w"])
+        dw2, db2, d_h1 = _conv3x3_backward(d_a2, h1, p["conv2.w"])
         grads["conv2.w"] += dw2
         grads["conv2.b"] += db2
         d_a1 = d_h1 * (1.0 - h1 * h1)
-        dw1, db1, _ = _conv3x3_backward(d_a1, cols1, x.shape, p["conv1.w"])
+        dw1, db1, _ = _conv3x3_backward(d_a1, x, p["conv1.w"])
         grads["conv1.w"] += dw1
         grads["conv1.b"] += db1
         return loss, grads

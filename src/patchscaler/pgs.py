@@ -66,15 +66,18 @@ class PgsReport:
 
 
 class CountingDenoiser:
-    """Wraps a denoiser and counts invocations, for honest NFE audits."""
+    """Wraps a denoiser and counts patch evaluations, for honest NFE audits.
+
+    A call on a (B, c, V, V) batch counts B evaluations.
+    """
 
     def __init__(self, denoiser):
         self.denoiser = denoiser
         self.calls = 0
 
-    def __call__(self, x_t, t, prompt=None):
-        self.calls += 1
-        return self.denoiser(x_t, t, prompt)
+    def __call__(self, x_t, t, prompts=None):
+        self.calls += len(x_t)
+        return self.denoiser(x_t, t, prompts)
 
 
 def _patch_rng(seed: int, index: int) -> np.random.Generator:
@@ -85,30 +88,31 @@ def _patch_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
               prompts=None, seed: int = 0, indices=None) -> list[np.ndarray]:
-    """Truncated-forward initialization then an n-step reverse ladder per patch.
+    """Truncated-forward initialization then one n-step reverse ladder for
+    the whole group.
 
-    Exactly n denoiser calls per patch; noise is derived from
-    (seed, patch index) so results are order independent.
+    The patches are stacked into one (B, c, V, V) batch, so each ladder step
+    is one denoiser call on B patches: exactly n evaluations per patch.
+    Noise is drawn per patch from (seed, patch index), so results are order
+    independent.
     """
     if n > tau:
         raise ConfigError(f"n={n} exceeds tau={tau}")
-    if prompts is None:
-        prompts = [None] * len(patches)
     if indices is None:
         indices = list(range(len(patches)))
-    if len(prompts) != len(patches) or len(indices) != len(patches):
+    if len(indices) != len(patches) or (prompts is not None and len(prompts) != len(patches)):
         raise ConfigError("prompts/indices must align with patches")
+    if not patches:
+        return []
     ladder = make_substeps(tau, n)
-    out = []
-    for y0, prompt, idx in zip(patches, prompts, indices):
-        rng = _patch_rng(seed, idx)
-        eps = rng.standard_normal(y0.shape).astype(y0.dtype)
-        x = truncated_forward(s, y0, tau, eps)
-        for t, t_next in zip(ladder.steps, ladder.steps[1:]):
-            x0_hat = denoiser(x, t, prompt)
-            x = reverse_step(s, x, x0_hat, t, t_next)
-        out.append(x)
-    return out
+    y0 = np.stack(patches)
+    eps = np.stack([_patch_rng(seed, idx).standard_normal(y0.shape[1:])
+                    for idx in indices]).astype(y0.dtype)
+    x = truncated_forward(s, y0, tau, eps)
+    for t, t_next in zip(ladder.steps, ladder.steps[1:]):
+        x0_hat = denoiser(x, t, prompts)
+        x = reverse_step(s, x, x0_hat, t, t_next)
+    return list(x)
 
 
 def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,

@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 from .colornorm import wavelet_color_normalize
 from .confidence import Thresholds, build_qmap
 from .errors import (ConfigError, DegenerateQueryError, GridShapeError,
-                     StageError)
+                     NumericError, StageError)
 from .pgs import GroupConfig, run_pgs
 from .rtm import retrieve_topk
 from .schedule import NoiseSchedule, build_linear_schedule
@@ -199,6 +199,12 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
         lr_up, orig = _pad_to_multiple(lr_up, 1 << cfg.levels)
     with _stage("grm"):
         y_hr, conf = grm(lr_up)
+        # report a NaN or inf from the input or the model here, not later
+        # as a confidence value that qmap rejects as a config error
+        if not np.isfinite(y_hr).all():
+            raise NumericError("coarse restoration is not finite")
+        if not np.isfinite(conf).all():
+            raise NumericError("confidence map is not finite")
     with _stage("qmap"):
         patches, grid = decompose(y_hr, cfg.patch, cfg.overlap)
         qmap = build_qmap(conf, grid, cfg.thresholds())

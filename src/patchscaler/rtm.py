@@ -6,6 +6,7 @@ sampling and queried with exact top-K normalized inner products.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -134,15 +135,17 @@ def load_memory(path) -> TextureMemory:
         if len(header) < 16:
             raise TruncatedFileError("header truncated")
         n, D, c, V = struct.unpack("<4I", header)
-        key_bytes = f.read(n * D * 4)
-        if len(key_bytes) < n * D * 4:
-            raise TruncatedFileError("key block truncated")
-        val_count = n * c * V * V * 4
-        val_bytes = f.read(val_count)
-        if len(val_bytes) < val_count:
-            raise TruncatedFileError("value block truncated")
-        if f.read(1):
+        if min(n, D, c, V) < 1:
+            raise DimensionMismatchError(f"memory sizes must be positive: {(n, D, c, V)}")
+        key_count, val_count = n * D * 4, n * c * V * V * 4
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if payload < key_count + val_count:
+            raise TruncatedFileError(f"payload of {payload} bytes, header declares "
+                                     f"{key_count + val_count}")
+        if payload > key_count + val_count:
             raise DimensionMismatchError("trailing bytes beyond declared payload")
+        key_bytes = f.read(key_count)
+        val_bytes = f.read(val_count)
     keys = np.frombuffer(key_bytes, dtype="<f4").reshape(n, D).copy()
     values = np.frombuffer(val_bytes, dtype="<f4").reshape(n, c, V, V).copy()
     return TextureMemory(keys=keys, values=values)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,35 @@ def test_exit_code_io_error(tmp_path, capsys):
     rc = cli.main(["sr", "--input", str(bad),
                    "--output", str(tmp_path / "out.psg")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("header", [b"PSG1 a b c\n", b"PSG1 -1 4 4\n"])
+def test_bad_grid_header_exits_3(tmp_path, capsys, header):
+    bad = tmp_path / "bad.psg"
+    bad.write_bytes(header + bytes(64))
+    rc = cli.main(["sr", "--input", str(bad), "--output", str(tmp_path / "out.psg")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+def test_oversized_memory_header_exits_3(tmp_path, capsys):
+    mem = tmp_path / "huge.rtm"
+    mem.write_bytes(b"RTM1" + struct.pack("<4I", 2**31, 2**31, 1, 16) + bytes(64))
+    patch = tmp_path / "q.psg"
+    save_grid(patch, np.ones((1, 16, 16), np.float32))
+    rc = cli.main(["rtm", "query", "--mem", str(mem), "--patch", str(patch)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+def test_nan_input_is_numeric_error_at_grm(tmp_path, capsys):
+    lr = np.zeros((1, 16, 16), np.float32)
+    lr[0, 3, 5] = np.nan
+    path = tmp_path / "nan.psg"
+    save_grid(path, lr)
+    rc = cli.main(["sr", "--input", str(path), "--output", str(tmp_path / "out.psg")])
+    assert rc == 4
+    assert "stage 'grm' failed" in capsys.readouterr().err
 
 
 def test_cli_overrides_reach_pipeline(tmp_path, capsys):

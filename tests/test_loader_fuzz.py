@@ -1,0 +1,70 @@
+"""File loaders given any byte string return a valid object or raise FormatError."""
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patchscaler.errors import FormatError
+from patchscaler.gridio import load_grid
+from patchscaler.rtm import TextureMemory, load_memory
+
+
+def _load(loader, raw: bytes):
+    """loader's result on a file holding raw, or None if it raised FormatError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f"
+        path.write_bytes(raw)
+        try:
+            return loader(path)
+        except FormatError:
+            return None
+
+
+def _with_payload(header: bytes, nbytes: int):
+    # the exact declared payload, or a few bytes short or long
+    sizes = st.integers(-3, 3).map(lambda k: max(0, nbytes + k))
+    payloads = sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n))
+    return payloads.map(lambda payload: header + payload)
+
+
+_dim = st.one_of(st.integers(-2, 3), st.integers(2**31, 2**63),
+                 st.sampled_from(["a", "1.5", "0x3", "-0", "+2"]))
+_grid_headers = st.lists(_dim, max_size=5).map(
+    lambda dims: ("PSG1 " + " ".join(map(str, dims)) + "\n").encode())
+_small = st.integers(1, 3)
+grid_files = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(_grid_headers, st.binary(max_size=64)).map(lambda hp: hp[0] + hp[1]),
+    st.tuples(_small, _small, _small).flatmap(
+        lambda d: _with_payload(("PSG1 %d %d %d\n" % d).encode(), 4 * d[0] * d[1] * d[2])),
+)
+
+_size = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+memory_files = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.tuples(_size, _size, _size, _size), st.binary(max_size=64))
+      .map(lambda sp: b"RTM1" + struct.pack("<4I", *sp[0]) + sp[1]),
+    st.tuples(_small, _small, _small, _small).flatmap(
+        lambda s: _with_payload(b"RTM1" + struct.pack("<4I", *s),
+                                4 * s[0] * (s[1] + s[2] * s[3] * s[3]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_files)
+def test_load_grid_any_bytes(raw):
+    grid = _load(load_grid, raw)
+    if grid is not None:
+        assert grid.ndim == 3 and grid.dtype == np.float32 and grid.size >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(memory_files)
+def test_load_memory_any_bytes(raw):
+    mem = _load(load_memory, raw)
+    if mem is not None:
+        assert isinstance(mem, TextureMemory) and mem.count >= 1
+        assert mem.values.shape[0] == mem.keys.shape[0]

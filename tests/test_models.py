@@ -7,7 +7,8 @@ from patchscaler.errors import (ConfigError, DimensionMismatchError,
                                 GridShapeError, MagicMismatchError,
                                 NumericError, TruncatedFileError)
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
-                                GlobalRestorer, PatchDiT, cross_attend,
+                                GlobalRestorer, PatchDiT, _conv3x3_forward,
+                                cross_attend,
                                 denoise_gaussian_oracle,
                                 make_dit_gaussian_objective,
                                 make_grm_objective, time_embed, train_toy)
@@ -38,8 +39,8 @@ def test_dit_shapes_and_determinism():
     dit = PatchDiT(channels=2, patch=4, width=16, depth=2, heads=2, seed=1)
     rng = np.random.Generator(np.random.PCG64(0))
     x = rng.standard_normal((2, 4, 4)).astype(np.float32)
-    out1 = dit(x, 37)
-    out2 = dit(x, 37)
+    out1 = dit(x[None], 37)[0]
+    out2 = dit(x[None], 37)[0]
     assert out1.shape == (2, 4, 4) and out1.dtype == np.float32
     assert np.array_equal(out1, out2)
     with pytest.raises(GridShapeError):
@@ -48,12 +49,24 @@ def test_dit_shapes_and_determinism():
         PatchDiT(width=10, heads=4)
 
 
+def test_dit_batch_matches_per_patch_forward():
+    dit = PatchDiT(channels=1, patch=4, width=16, depth=2, heads=2, seed=7)
+    rng = np.random.Generator(np.random.PCG64(11))
+    x = rng.standard_normal((3, 1, 4, 4))
+    prompts = [_prompt(rng, 3, 1, 4), None, _prompt(rng, 2, 1, 4)]
+    ref = np.stack([dit.forward(xi, 55, p) for xi, p in zip(x, prompts)])
+    assert np.array_equal(dit(x, 55, prompts), ref)
+    assert np.array_equal(dit(x, 55), np.stack([dit.forward(xi, 55) for xi in x]))
+    with pytest.raises(ConfigError):
+        dit(x, 55, prompts[:2])
+
+
 def test_dit_zero_output_projection():
     dit = PatchDiT(channels=1, patch=4, width=16, depth=1, heads=2, seed=0)
     dit.params["out.w"][:] = 0.0
     dit.params["out.b"][:] = 0.0
     x = np.ones((1, 4, 4), np.float32)
-    assert np.array_equal(dit(x, 10), np.zeros((1, 4, 4), np.float32))
+    assert np.array_equal(dit(x[None], 10)[0], np.zeros((1, 4, 4), np.float32))
 
 
 def test_cross_attend_zero_scale_is_identity():
@@ -129,6 +142,30 @@ def test_dit_gradients_spot_check():
         lambda: dit.loss_and_grads(x_t, 123, target, prompt)[0],
         dit.params, entries, grads)
     assert worst <= 1e-4
+
+
+def _conv3x3_reference(x, w, b):
+    # one im2col matrix over the whole input, then one GEMM
+    c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cols = np.empty((h, wd, c, 3, 3))
+    for i in range(h):
+        for j in range(wd):
+            cols[i, j] = xp[:, i:i + 3, j:j + 3]
+    y = cols.reshape(h * wd, c * 9) @ w.reshape(len(w), -1).T + b
+    return y.reshape(h, wd, len(w)).transpose(2, 0, 1)
+
+
+# bands of 4096 // width rows: 40 rows for width 100 and 13 for width 300,
+# neither dividing the height; width 48 fits a 48-row input in one band
+@pytest.mark.parametrize("shape", [(1, 97, 100), (16, 50, 300), (1, 48, 48),
+                                   (16, 48, 48)])
+def test_banded_conv_matches_full_im2col(shape):
+    rng = np.random.Generator(np.random.PCG64(12))
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((16, shape[0], 3, 3))
+    b = rng.standard_normal(16)
+    assert np.array_equal(_conv3x3_forward(x, w, b), _conv3x3_reference(x, w, b))
 
 
 def test_grm_forward_contract():
@@ -232,7 +269,7 @@ def test_trained_dit_near_oracle(trained_dit, schedule1000):
     for _ in range(trials):
         x0 = rng.standard_normal((1, 4, 4))
         x_t = forward_sample(schedule1000, x0, t, rng.standard_normal((1, 4, 4)))
-        se_dit += np.mean((trained_dit(x_t, t) - x0) ** 2)
+        se_dit += np.mean((trained_dit(x_t[None], t)[0] - x0) ** 2)
         se_orc += np.mean((oracle(x_t, t) - x0) ** 2)
     # oracle is the Bayes estimator, so trained MSE can only approach it
     assert se_dit <= 1.2 * se_orc

@@ -3,9 +3,12 @@ import pytest
 
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError
-from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
+from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
+                                PatchDiT)
 from patchscaler.pgs import CountingDenoiser, GroupConfig, run_group, run_pgs
 from patchscaler.pipeline import PipelineConfig, _unified_cfg
+from patchscaler.rtm import RetrievalResult
+from patchscaler.schedule import make_substeps, reverse_step, truncated_forward
 
 S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
 
@@ -51,6 +54,64 @@ def test_run_group_call_budget(schedule1000):
     counted = CountingDenoiser(_oracle(schedule1000))
     run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8)
     assert counted.calls == 40
+
+
+def test_counting_denoiser_counts_patch_evaluations(schedule1000):
+    shapes = []
+
+    def denoiser(x_t, t, prompts=None):
+        shapes.append(x_t.shape)
+        return x_t
+
+    counted = CountingDenoiser(denoiser)
+    counted(np.zeros((5, 1, 4, 4)), 10)
+    counted(np.zeros((2, 1, 4, 4)), 10, [None, None])
+    assert counted.calls == 7
+    # run_group walks the ladder once: one call on the whole group per step
+    shapes.clear()
+    counted = CountingDenoiser(denoiser)
+    rng = np.random.Generator(np.random.PCG64(12))
+    run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8)
+    assert counted.calls == 40 and shapes == [(5, 1, 4, 4)] * 8
+
+
+def _serial_run_group(denoise_one, s, patches, tau, n, prompts, seed, indices):
+    # one patch at a time, one denoiser call per patch and step
+    ladder = make_substeps(tau, n)
+    out = []
+    for y0, prompt, idx in zip(patches, prompts, indices):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx])))
+        x = truncated_forward(s, y0, tau, rng.standard_normal(y0.shape).astype(y0.dtype))
+        for t, t_next in zip(ladder.steps, ladder.steps[1:]):
+            x = reverse_step(s, x, denoise_one(x, t, prompt), t, t_next)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["oracle", "dit"])
+def test_run_group_matches_serial_reference(schedule1000, kind):
+    rng = np.random.Generator(np.random.PCG64(13))
+    patches = _patches(rng, 5)
+    indices = [7, 2, 9, 0, 4]
+    if kind == "oracle":
+        d = _oracle(schedule1000, var=0.7)
+        prompts = [None] * 5
+
+        def one(x, t, prompt):
+            return d(x, t)
+    else:
+        d = PatchDiT(channels=1, patch=4, width=16, depth=1, heads=2, seed=3)
+        prior = RetrievalResult(indices=np.arange(2), similarities=np.array([0.9, 0.4]),
+                                priors=rng.standard_normal((2, 1, 4, 4)).astype(np.float32))
+        prompts = [prior, None, None, prior, None]
+
+        def one(x, t, prompt):
+            return d.forward(x, t, prompt).astype(x.dtype)
+    got = run_group(d, schedule1000, patches, 400, 8, prompts=prompts, seed=21,
+                    indices=indices)
+    ref = _serial_run_group(one, schedule1000, patches, 400, 8, prompts, 21, indices)
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_run_group_deterministic(schedule1000):
