@@ -7,12 +7,12 @@ supplies retrieval-based conditioning for the patch denoiser.
 """
 
 from .confidence import GroupLabel, Thresholds
-from .pgs import GroupConfig, PgsReport, run_pgs
+from .pgs import PgsReport, run_pgs
 from .pipeline import PipelineConfig, make_scene, superresolve
 from .schedule import NoiseSchedule, build_linear_schedule
 
 __all__ = [
-    "GroupLabel", "Thresholds", "GroupConfig", "PgsReport", "run_pgs",
+    "GroupLabel", "Thresholds", "PgsReport", "run_pgs",
     "PipelineConfig", "make_scene",
     "superresolve", "NoiseSchedule", "build_linear_schedule",
 ]

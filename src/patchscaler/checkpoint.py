@@ -1,6 +1,8 @@
 """Parameter checkpoint files: named float32 sections behind a PSCK magic."""
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -44,9 +46,13 @@ def load_params(path) -> dict:
             if len(raw) < 2:
                 raise TruncatedFileError("section header truncated")
             (name_len,) = struct.unpack("<H", raw)
-            name = f.read(name_len)
-            if len(name) < name_len:
+            raw = f.read(name_len)
+            if len(raw) < name_len:
                 raise TruncatedFileError("section name truncated")
+            try:
+                name = raw.decode()
+            except UnicodeDecodeError as e:
+                raise DimensionMismatchError(f"section name {raw[:32]!r} is not UTF-8") from e
             raw = f.read(1)
             if not raw:
                 raise TruncatedFileError("section rank truncated")
@@ -55,11 +61,13 @@ def load_params(path) -> dict:
             if len(raw) < 4 * ndim:
                 raise TruncatedFileError("section shape truncated")
             shape = struct.unpack(f"<{ndim}I", raw)
-            nbytes = 4 * int(np.prod(shape)) if ndim else 4
+            # a Python int, so a huge declared shape cannot overflow
+            nbytes = 4 * math.prod(shape)
+            if os.fstat(f.fileno()).st_size - f.tell() < nbytes:
+                raise TruncatedFileError(f"section '{name}' declares {nbytes} bytes, "
+                                         "more than the file holds")
             raw = f.read(nbytes)
-            if len(raw) < nbytes:
-                raise TruncatedFileError("section payload truncated")
-            params[name.decode()] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     return params
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, gridio, pipeline
-from .errors import (ConfigError, DegenerateQueryError, FormatError,
-                     NumericError, StageError)
+from .errors import (ConfigError, DegenerateQueryError, DimensionMismatchError,
+                     FormatError, NumericError, StageError)
 from .models import (GaussianOracleDenoiser, GaussianOracleStats,
                      GlobalRestorer, PatchDiT, make_dit_gaussian_objective,
                      make_grm_objective, train_toy)
@@ -57,15 +57,22 @@ def _size(text: str) -> tuple[int, int]:
         raise ConfigError(f"bad size '{text}', expected HxW") from e
 
 
-def _load_grm(cfg: PipelineConfig, path, channels=1, hidden=16) -> GlobalRestorer:
-    loaded = None
-    if path:
-        loaded = checkpoint.load_params(path)
-        # conv1.w is (hidden, channels, 3, 3); size the model to the checkpoint
-        hidden, channels = loaded["conv1.w"].shape[:2]
+def _section_shape(loaded: dict, name: str, ndim: int) -> tuple[int, ...]:
+    """Shape of the checkpoint section a model is sized from."""
+    arr = loaded.get(name)
+    if arr is None or arr.ndim != ndim:
+        raise DimensionMismatchError(f"checkpoint has no {ndim}-D section '{name}'")
+    return arr.shape
+
+
+def _load_grm(cfg: PipelineConfig, path, channels=1) -> GlobalRestorer:
+    if not path:
+        return GlobalRestorer(channels=channels, seed=cfg.seed)
+    loaded = checkpoint.load_params(path)
+    # conv1.w is (hidden, channels, 3, 3); size the model to the checkpoint
+    hidden, channels = _section_shape(loaded, "conv1.w", 4)[:2]
     grm = GlobalRestorer(channels=channels, hidden=hidden, seed=cfg.seed)
-    if loaded is not None:
-        checkpoint.restore_into(grm, loaded)
+    checkpoint.restore_into(grm, loaded)
     return grm
 
 
@@ -74,9 +81,16 @@ def _make_denoiser(cfg: PipelineConfig, args, reference: np.ndarray):
         stats = GaussianOracleStats(mean=float(reference.mean()),
                                     var=max(float(reference.var()), 1e-6))
         return GaussianOracleDenoiser(stats, cfg.schedule())
-    dit = PatchDiT(channels=reference.shape[0], patch=cfg.patch, seed=cfg.seed)
-    if args.dit:
-        checkpoint.restore_into(dit, checkpoint.load_params(args.dit))
+    if not args.dit:
+        return PatchDiT(channels=reference.shape[0], patch=cfg.patch, seed=cfg.seed)
+    loaded = checkpoint.load_params(args.dit)
+    # embed.w is (channels, width) and each block has one b<i>.sa.wq; size
+    # the model to the checkpoint, restore_into then checks the patch size
+    width = _section_shape(loaded, "embed.w", 2)[1]
+    depth = sum(name.endswith(".sa.wq") for name in loaded)
+    dit = PatchDiT(channels=reference.shape[0], patch=cfg.patch, width=width,
+                   depth=depth, seed=cfg.seed)
+    checkpoint.restore_into(dit, loaded)
     return dit
 
 
@@ -124,7 +138,7 @@ def cmd_train_grm(args):
 
 def cmd_train_dit(args):
     cfg = _build_config(args)
-    dit = PatchDiT(channels=args.channels, patch=args.dit_patch,
+    dit = PatchDiT(channels=args.channels, patch=cfg.patch,
                    width=args.width, depth=args.depth, seed=cfg.seed)
     stats = GaussianOracleStats(mean=0.0, var=1.0)
     objective = make_dit_gaussian_objective(dit, cfg.schedule(), stats,
@@ -227,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--dit-patch", type=int, default=4)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--batch", type=int, default=8)

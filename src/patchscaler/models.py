@@ -94,8 +94,7 @@ class PatchDiT:
     """
 
     def __init__(self, channels: int = 1, patch: int = 16, width: int = 64,
-                 depth: int = 2, heads: int = 4, ff_mult: int = 2,
-                 seed: int = 0):
+                 depth: int = 2, heads: int = 4, seed: int = 0):
         if width % heads:
             raise ConfigError("width must be divisible by head count")
         self.channels = channels
@@ -103,7 +102,7 @@ class PatchDiT:
         self.width = width
         self.depth = depth
         self.heads = heads
-        self.ff = ff_mult * width
+        self.ff = 2 * width
         rng = np.random.Generator(np.random.PCG64(seed))
         d, f = width, self.ff
         c = channels

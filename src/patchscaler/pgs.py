@@ -11,34 +11,6 @@ from .errors import ConfigError
 from .schedule import (NoiseSchedule, make_substeps, reverse_step,
                        truncated_forward)
 
-_ORDER = {label: i for i, label in enumerate(GroupLabel)}
-
-
-@dataclass(frozen=True)
-class GroupConfig:
-    """Per-group (intermediate step tau, sampling step count n), each a
-    (simple, medium, hard) tuple."""
-
-    taus: tuple[int, int, int] = (400, 700, 1000)
-    steps: tuple[int, int, int] = (8, 14, 20)
-
-    def __post_init__(self):
-        taus, steps = self.taus, self.steps
-        if len(taus) != 3 or len(steps) != 3:
-            raise ConfigError("taus and steps need one value per group (S, M, H)")
-        if not (taus[0] <= taus[1] <= taus[2]):
-            raise ConfigError(f"taus must be non-decreasing S<=M<=H, got {taus}")
-        if not (steps[0] <= steps[1] <= steps[2]):
-            raise ConfigError(f"step counts must be non-decreasing, got {steps}")
-        for tau, n in zip(taus, steps):
-            if n > tau:
-                raise ConfigError(f"n={n} exceeds tau={tau}")
-
-    def for_label(self, label: GroupLabel) -> tuple[int, int]:
-        i = _ORDER[label]
-        return self.taus[i], self.steps[i]
-
-
 @dataclass
 class PgsReport:
     """Denoiser-call ledger for one sampling run."""
@@ -96,15 +68,13 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     Noise is drawn per patch from (seed, patch index), so results are order
     independent.
     """
-    if n > tau:
-        raise ConfigError(f"n={n} exceeds tau={tau}")
+    ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
     if indices is None:
         indices = list(range(len(patches)))
     if len(indices) != len(patches) or (prompts is not None and len(prompts) != len(patches)):
         raise ConfigError("prompts/indices must align with patches")
     if not patches:
         return []
-    ladder = make_substeps(tau, n)
     y0 = np.stack(patches)
     eps = np.stack([_patch_rng(seed, idx).standard_normal(y0.shape[1:])
                     for idx in indices]).astype(y0.dtype)
@@ -115,9 +85,13 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     return list(x)
 
 
-def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,
+def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
             prompts=None, seed: int = 0):
-    """Partition patches by difficulty, sample each group, merge in order."""
+    """Partition patches by difficulty, sample each group, merge in order.
+
+    taus and steps are (simple, medium, hard) tuples: group g samples from
+    intermediate step taus[g] with steps[g] denoiser calls per patch.
+    """
     if len(qmap) != len(patches):
         raise ConfigError("qmap must label every patch")
     if prompts is None:
@@ -125,10 +99,9 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,
     t0 = time.perf_counter()
     results: list[np.ndarray | None] = [None] * len(patches)
     group_counts, group_nfe = {}, {}
-    for label in GroupLabel:
+    for label, tau, n in zip(GroupLabel, taus, steps, strict=True):
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
-        tau, n = cfg.for_label(label)
         group_nfe[label] = len(idx) * n
         if not idx:
             continue
@@ -141,7 +114,7 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, cfg: GroupConfig,
         group_counts=group_counts,
         group_nfe=group_nfe,
         total_nfe=sum(group_nfe.values()),
-        unified_nfe=len(patches) * cfg.for_label(GroupLabel.HARD)[1],
+        unified_nfe=len(patches) * steps[2],
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return results, report

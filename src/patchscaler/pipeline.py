@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -11,9 +11,9 @@ from .colornorm import wavelet_color_normalize
 from .confidence import Thresholds, build_qmap
 from .errors import (ConfigError, DegenerateQueryError, GridShapeError,
                      NumericError, StageError)
-from .pgs import GroupConfig, run_pgs
+from .pgs import run_pgs
 from .rtm import retrieve_topk
-from .schedule import NoiseSchedule, build_linear_schedule
+from .schedule import NoiseSchedule, build_linear_schedule, make_substeps
 from .tiling import decompose, recompose
 
 
@@ -23,8 +23,10 @@ class PipelineConfig:
     overlap: int = 4
     gamma1: float = 0.95
     gamma2: float = 0.75
-    taus: tuple[int, int, int] = GroupConfig.taus     # (simple, medium, hard)
-    steps: tuple[int, int, int] = GroupConfig.steps
+    # per-group shortcut, each a (simple, medium, hard) tuple: group g starts
+    # sampling at intermediate step taus[g] and takes steps[g] denoiser calls
+    taus: tuple[int, int, int] = (400, 700, 1000)
+    steps: tuple[int, int, int] = (8, 14, 20)
     T: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
@@ -40,15 +42,28 @@ class PipelineConfig:
         if not 0 <= self.overlap < self.patch:
             raise ConfigError(f"overlap must be in [0, patch), got {self.overlap} "
                               f"for patch {self.patch}")
-        self.group_config()  # S<=M<=H order and n <= tau
-        if self.taus[2] > self.T:
-            raise ConfigError(f"hard tau {self.taus[2]} exceeds T={self.T}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.topk < 1:
+            raise ConfigError(f"topk must be >= 1, got {self.topk}")
+        if self.levels < 1:
+            raise ConfigError(f"levels must be >= 1, got {self.levels}")
+        self.thresholds()  # 0 <= gamma2 < gamma1 <= 1
+        self.schedule()    # T >= 1, 0 < beta_start <= beta_end < 1
+        taus, steps = self.taus, self.steps
+        if len(taus) != 3 or len(steps) != 3:
+            raise ConfigError("taus and steps need one value per group (S, M, H)")
+        if not (taus[0] <= taus[1] <= taus[2]):
+            raise ConfigError(f"taus must be non-decreasing S<=M<=H, got {taus}")
+        if not (steps[0] <= steps[1] <= steps[2]):
+            raise ConfigError(f"step counts must be non-decreasing, got {steps}")
+        for tau, n in zip(taus, steps):
+            make_substeps(tau, n)  # 1 <= n <= tau
+        if taus[2] > self.T:
+            raise ConfigError(f"hard tau {taus[2]} exceeds T={self.T}")
 
     def thresholds(self) -> Thresholds:
         return Thresholds(self.gamma1, self.gamma2)
-
-    def group_config(self) -> GroupConfig:
-        return GroupConfig(self.taus, self.steps)
 
     def schedule(self) -> NoiseSchedule:
         return build_linear_schedule(self.T, self.beta_start, self.beta_end)
@@ -94,6 +109,12 @@ def coerce_field(key: str, val: str):
 # ---------------------------------------------------------------------------
 # synthetic data
 
+# make_scene's texture strength and its LR degradation (blur, then noise)
+TEXTURE_STD = 1.5
+BLUR_SIGMA = 0.8
+NOISE_SIGMA = 0.05
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
     """Labeled ground truth with its degraded LR counterpart."""
@@ -101,7 +122,6 @@ class SyntheticScene:
     hr: np.ndarray
     lr: np.ndarray
     texture_mask: np.ndarray   # (h, w) bool, True in textured regions
-    params: dict = field(default_factory=dict)
 
 
 def synth_degrade(hr: np.ndarray, blur_sigma: float, noise_sigma: float,
@@ -123,8 +143,7 @@ def synth_degrade(hr: np.ndarray, blur_sigma: float, noise_sigma: float,
 
 def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
                patch: int = 16, texture_frac: float = 0.5,
-               texture_std: float = 1.5, blur_sigma: float = 0.8,
-               noise_sigma: float = 0.05, factor: int = 2) -> SyntheticScene:
+               factor: int = 2) -> SyntheticScene:
     """Smooth low-frequency base plus patch-aligned iid-noise texture blocks.
 
     Texture regions are aligned to the patch grid so every patch is either
@@ -144,16 +163,10 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
     tex_tiles = rng.random((tiles_y, tiles_x)) < texture_frac
     mask = np.kron(tex_tiles, np.ones((patch, patch), dtype=bool))
     hr = np.stack([base.copy() for _ in range(channels)])
-    hr[:, mask] += texture_std * rng.standard_normal((channels, int(mask.sum())))
+    hr[:, mask] += TEXTURE_STD * rng.standard_normal((channels, int(mask.sum())))
     hr = hr.astype(np.float32)
-    lr = synth_degrade(hr, blur_sigma, noise_sigma, factor, seed=seed + 1)
-    return SyntheticScene(hr=hr, lr=lr, texture_mask=mask,
-                          params={"texture_std": texture_std,
-                                  "blur_sigma": blur_sigma,
-                                  "noise_sigma": noise_sigma,
-                                  "factor": factor, "seed": seed,
-                                  "patch": patch,
-                                  "texture_frac": texture_frac})
+    lr = synth_degrade(hr, BLUR_SIGMA, NOISE_SIGMA, factor, seed=seed + 1)
+    return SyntheticScene(hr=hr, lr=lr, texture_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +197,13 @@ def _stage(name: str):
 
 
 def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
-                 memory=None, extractor=None, seed: int | None = None):
+                 memory=None, extractor=None):
     """Full restoration pass; returns (sr_image, PgsReport).
 
     Stages: upsample -> coarse restore -> quantified map -> per-patch
     retrieval -> grouped sampling -> recompose -> wavelet color
     normalization.
     """
-    seed = cfg.seed if seed is None else seed
     schedule = cfg.schedule()
     with _stage("upsample"):
         lr_up = nearest_upsample(lr_image, cfg.factor)
@@ -222,8 +234,8 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
                     prompts.append(None)  # unconditional fallback
     with _stage("pgs"):
         restored, report = run_pgs(denoiser, schedule, patches, qmap,
-                                   cfg.group_config(), prompts=prompts,
-                                   seed=seed)
+                                   cfg.taus, cfg.steps, prompts=prompts,
+                                   seed=cfg.seed)
     with _stage("recompose"):
         sr = recompose(restored, grid)
         if cfg.colornorm:
@@ -232,26 +244,23 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     return sr.astype(np.float32), report
 
 
-def _unified_cfg(cfg: PipelineConfig, n_unified: int) -> PipelineConfig:
-    return replace(cfg, taus=(cfg.T,) * 3, steps=(n_unified,) * 3)
+def _unified_cfg(cfg: PipelineConfig) -> PipelineConfig:
+    # every patch gets the Hard group's step count from the full tau = T
+    return replace(cfg, taus=(cfg.T,) * 3, steps=(cfg.steps[2],) * 3)
 
 
 def benchmark(cfg: PipelineConfig, scene: SyntheticScene, grm, denoiser,
-              memory=None, extractor=None, repeats: int = 1,
-              n_unified: int | None = None) -> dict:
+              repeats: int = 1) -> dict:
     """Paired adaptive-vs-unified runs on identical seeds."""
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    n_unified = cfg.steps[2] if n_unified is None else n_unified
     acc = {k: 0.0 for k in ("mse_pgs", "mse_unified", "nfe_pgs", "nfe_unified",
                             "wall_ms_pgs", "wall_ms_unified")}
     counts = None
     for r in range(repeats):
-        seed = cfg.seed + r
-        sr_a, rep_a = superresolve(cfg, scene.lr, grm, denoiser, memory,
-                                   extractor, seed=seed)
-        sr_u, rep_u = superresolve(_unified_cfg(cfg, n_unified), scene.lr, grm,
-                                   denoiser, memory, extractor, seed=seed)
+        run_cfg = replace(cfg, seed=cfg.seed + r)
+        sr_a, rep_a = superresolve(run_cfg, scene.lr, grm, denoiser)
+        sr_u, rep_u = superresolve(_unified_cfg(run_cfg), scene.lr, grm, denoiser)
         acc["mse_pgs"] += float(np.mean((sr_a - scene.hr) ** 2))
         acc["mse_unified"] += float(np.mean((sr_u - scene.hr) ** 2))
         acc["nfe_pgs"] += rep_a.total_nfe
@@ -263,21 +272,6 @@ def benchmark(cfg: PipelineConfig, scene: SyntheticScene, grm, denoiser,
     out["ratio"] = out["nfe_pgs"] / out["nfe_unified"]
     out["group_counts"] = {g.value: counts[g] for g in counts}
     return out
-
-
-def benchmark_sweep(cfg: PipelineConfig, scene: SyntheticScene, grm, denoiser,
-                    variants: list[tuple[tuple[int, int, int], tuple[int, int, int]]],
-                    memory=None, extractor=None) -> list[dict]:
-    """Trade-off sweep over (taus, steps) variants; one result row each."""
-    rows = []
-    for taus, steps in variants:
-        vcfg = replace(cfg, taus=taus, steps=steps)
-        sr, rep = superresolve(vcfg, scene.lr, grm, denoiser, memory,
-                               extractor, seed=cfg.seed)
-        rows.append({"taus": taus, "steps": steps,
-                     "mse": float(np.mean((sr - scene.hr) ** 2)),
-                     "nfe": rep.total_nfe})
-    return rows
 
 
 def format_benchmark(result: dict) -> str:

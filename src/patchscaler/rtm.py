@@ -48,10 +48,9 @@ class TextureExtractor:
     for a learned texture classifier; pluggable behind the same interface.
     """
 
-    def __init__(self, patch_shape: tuple[int, int, int], dim: int = 32,
-                 hidden: int = 64, seed: int = 0):
+    def __init__(self, patch_shape: tuple[int, int, int], seed: int = 0):
         self.patch_shape = tuple(patch_shape)
-        self.dim = dim
+        hidden, dim = 64, 32
         rng = np.random.Generator(np.random.PCG64(seed))
         n_in = int(np.prod(patch_shape))
         self.w1 = rng.standard_normal((n_in, hidden)).astype(np.float32) / np.sqrt(n_in)
@@ -90,14 +89,14 @@ def farthest_point_sample(keys: np.ndarray, m: int, start: int = 0) -> np.ndarra
     return np.array(chosen, dtype=np.int64)
 
 
-def build_memory(patches: list[np.ndarray], t, m: int, start: int = 0) -> TextureMemory:
+def build_memory(patches: list[np.ndarray], t, m: int) -> TextureMemory:
     """Extract keys, compact to m entries by FPS over key space."""
     if not patches:
         raise ConfigError("no source patches")
     if m > len(patches):
         raise ConfigError(f"target size {m} exceeds {len(patches)} source patches")
     keys = np.stack([extract_query(t, p) for p in patches])
-    idx = farthest_point_sample(keys, m, start=start)
+    idx = farthest_point_sample(keys, m)
     values = np.stack([patches[i] for i in idx]).astype(np.float32)
     return TextureMemory(keys=keys[idx], values=values)
 

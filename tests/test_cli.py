@@ -1,10 +1,15 @@
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patchscaler import cli
 from patchscaler.gridio import load_grid, save_grid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_gen_data_writes_scene(tmp_path, capsys):
@@ -52,6 +57,44 @@ def test_train_dit_small(tmp_path, capsys):
     assert rc == 0
     assert ckpt.exists()
     assert "trained Patch-DiT" in capsys.readouterr().out
+
+
+def test_dit_and_rtm_workflow(tmp_path, capsys):
+    # gen-data -> train-dit -> rtm build -> sr with the trained DiT and the
+    # memory: the retrieval stage and the prompted denoiser run end to end
+    geometry = ["--patch-size", "8", "--overlap", "2", "--seed", "0"]
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-data", "--out", str(scene), "--size", "32x32",
+                     *geometry]) == 0
+    dit = tmp_path / "dit.psck"
+    assert cli.main(["train-dit", "--out", str(dit), "--train-steps", "2",
+                     "--width", "8", "--depth", "1", "--batch", "2",
+                     *geometry]) == 0
+    mem = tmp_path / "mem.rtm"
+    assert cli.main(["rtm", "build", "--src", str(scene), "--out", str(mem),
+                     "--size", "4", *geometry]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sr.psg"
+    rc = cli.main(["sr", "--input", str(scene / "lr.psg"), "--output", str(out),
+                   "--denoiser", "dit", "--dit", str(dit), "--rtm", str(mem),
+                   "--steps", "2,3,4", *geometry])
+    assert rc == 0
+    assert load_grid(out).shape == (1, 32, 32)
+    ledger = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert int(ledger["nfe_total"]) > 0 and "ratio" in ledger
+
+
+def test_readme_commands_parse():
+    # every `patchscaler ...` line of the README's sh blocks is a valid command
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("patchscaler ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_rtm_build_and_query(tmp_path, capsys):
@@ -102,10 +145,19 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--steps", "8,14"], ["--tau", "a,b,c"],
                                    ["--steps", "20,14,8"],
-                                   ["--tau", "400,700,2000"]])
+                                   ["--tau", "400,700,2000"],
+                                   ["--gamma1", "0.5", "--gamma2", "0.9"],
+                                   ["--topk", "0"], ["--seed", "-1"],
+                                   ["--config", "levels -1"],
+                                   ["--config", "levels 0"],
+                                   ["--config", "beta_end 2.0"]])
 def test_bad_group_flags_fail_at_parse_time(tmp_path, capsys, flags):
     # the input file is missing, so exit 2 (not 3) shows the config was
     # rejected before anything was loaded or run
+    if flags[0] == "--config":  # the value is the text of a config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(flags[1] + "\n")
+        flags = ["--config", str(cfg)]
     rc = cli.main(["sr", "--input", str(tmp_path / "missing.psg"),
                    "--output", str(tmp_path / "out.psg"), *flags])
     assert rc == 2
@@ -129,6 +181,25 @@ def test_bad_grid_header_exits_3(tmp_path, capsys, header):
     bad = tmp_path / "bad.psg"
     bad.write_bytes(header + bytes(64))
     rc = cli.main(["sr", "--input", str(bad), "--output", str(tmp_path / "out.psg")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+@pytest.mark.parametrize("sections", [
+    # one section declaring a (2^31, 2^31) shape over a few payload bytes
+    (1, struct.pack("<H", 7) + b"conv1.w" + struct.pack("<B2I", 2, 2**31, 2**31)
+     + bytes(64)),
+    # a well-formed checkpoint without the section the GRM is sized from
+    (0, b""),
+])
+def test_bad_checkpoint_exits_3(tmp_path, capsys, sections):
+    count, body = sections
+    ckpt = tmp_path / "bad.psck"
+    ckpt.write_bytes(b"PSCK" + struct.pack("<II", 1, count) + body)
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.zeros((1, 16, 16), np.float32))
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(tmp_path / "out.psg"),
+                   "--grm", str(ckpt)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("i/o error")
 

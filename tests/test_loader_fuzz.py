@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchscaler.checkpoint import load_params
 from patchscaler.errors import FormatError
 from patchscaler.gridio import load_grid
 from patchscaler.rtm import TextureMemory, load_memory
@@ -68,3 +69,27 @@ def test_load_memory_any_bytes(raw):
     if mem is not None:
         assert isinstance(mem, TextureMemory) and mem.count >= 1
         assert mem.values.shape[0] == mem.keys.shape[0]
+
+
+_names = st.one_of(st.binary(max_size=6), st.text(max_size=6).map(str.encode))
+_shapes = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=4)
+_sections = st.tuples(_names, _shapes, st.binary(max_size=48)).map(
+    lambda s: struct.pack("<H", len(s[0])) + s[0] + struct.pack(f"<B{len(s[1])}I", len(s[1]), *s[1])
+    + s[2])
+checkpoint_files = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.integers(0, 2), st.lists(_sections, max_size=3)).map(
+        lambda vs: b"PSCK" + struct.pack("<II", 1, vs[0]) + b"".join(vs[1])),
+    st.tuples(_small, _small).flatmap(
+        lambda d: _with_payload(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                                + struct.pack("<B2I", 2, *d), 4 * d[0] * d[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoint_files)
+def test_load_params_any_bytes(raw):
+    params = _load(load_params, raw)
+    if params is not None:
+        assert all(isinstance(name, str) and arr.dtype == np.float64
+                   for name, arr in params.items())

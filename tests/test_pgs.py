@@ -5,12 +5,13 @@ from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 PatchDiT)
-from patchscaler.pgs import CountingDenoiser, GroupConfig, run_group, run_pgs
+from patchscaler.pgs import CountingDenoiser, run_group, run_pgs
 from patchscaler.pipeline import PipelineConfig, _unified_cfg
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import make_substeps, reverse_step, truncated_forward
 
 S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
+TAUS, STEPS = PipelineConfig.taus, PipelineConfig.steps  # the default table
 
 
 def _oracle(schedule, var=1.0):
@@ -21,24 +22,24 @@ def _patches(rng, n, shape=(1, 4, 4)):
     return [rng.standard_normal(shape).astype(np.float32) for _ in range(n)]
 
 
-def test_group_config_defaults_and_plan():
-    cfg = GroupConfig()
-    assert cfg.for_label(S) == (400, 8)
-    assert cfg.for_label(M) == (700, 14)
-    assert cfg.for_label(H) == (1000, 20)
-    assert [cfg.for_label(g) for g in [M, S, H]] == [(700, 14), (400, 8), (1000, 20)]
-    assert cfg == PipelineConfig().group_config()
+def test_group_table_defaults():
+    cfg = PipelineConfig()
+    # (simple, medium, hard) tuples, indexed in GroupLabel order
+    assert list(GroupLabel) == [S, M, H]
+    assert (cfg.taus[0], cfg.steps[0]) == (400, 8)
+    assert (cfg.taus[1], cfg.steps[1]) == (700, 14)
+    assert (cfg.taus[2], cfg.steps[2]) == (1000, 20)
 
 
-def test_group_config_validation():
+def test_group_table_validation():
     with pytest.raises(ConfigError):
-        GroupConfig(taus=(800, 700, 1000))
+        PipelineConfig(taus=(800, 700, 1000))
     with pytest.raises(ConfigError):
-        GroupConfig(steps=(30, 14, 20))
+        PipelineConfig(steps=(30, 14, 20))
     with pytest.raises(ConfigError):
-        GroupConfig(taus=(4, 700, 1000))  # n=8 > tau=4
+        PipelineConfig(taus=(4, 700, 1000))  # n=8 > tau=4
     with pytest.raises(ConfigError):
-        GroupConfig(steps=(8, 14))
+        PipelineConfig(steps=(8, 14))
 
 
 def test_run_group_single_step_single_call(schedule1000):
@@ -169,7 +170,7 @@ def test_run_pgs_nfe_accounting(schedule1000):
     patches = _patches(rng, 10)
     qmap = [S] * 5 + [M] * 3 + [H] * 2
     counted = CountingDenoiser(_oracle(schedule1000))
-    _, report = run_pgs(counted, schedule1000, patches, qmap, GroupConfig())
+    _, report = run_pgs(counted, schedule1000, patches, qmap, TAUS, STEPS)
     assert report.group_counts == {S: 5, M: 3, H: 2}
     assert report.group_nfe == {S: 40, M: 42, H: 40}
     assert report.total_nfe == 122 == counted.calls
@@ -184,10 +185,10 @@ def test_run_pgs_matches_per_group_runs(schedule1000):
     patches = _patches(rng, 6)
     qmap = [H, S, M, S, H, M]
     d = _oracle(schedule1000)
-    cfg = GroupConfig()
-    results, _ = run_pgs(d, schedule1000, patches, qmap, cfg, seed=11)
+    results, _ = run_pgs(d, schedule1000, patches, qmap, TAUS, STEPS, seed=11)
     for i, label in enumerate(qmap):
-        tau, n = cfg.for_label(label)
+        g = list(GroupLabel).index(label)
+        tau, n = TAUS[g], STEPS[g]
         solo = run_group(d, schedule1000, [patches[i]], tau, n, seed=11,
                          indices=[i])
         assert np.array_equal(results[i], solo[0])
@@ -197,24 +198,26 @@ def test_run_pgs_empty_groups(schedule1000):
     rng = np.random.Generator(np.random.PCG64(8))
     patches = _patches(rng, 3)
     results, report = run_pgs(_oracle(schedule1000), schedule1000, patches,
-                              [S, S, S], GroupConfig())
+                              [S, S, S], TAUS, STEPS)
     assert report.group_counts == {S: 3, M: 0, H: 0}
     assert report.total_nfe == 24
     assert all(r is not None for r in results)
     with pytest.raises(ConfigError):
-        run_pgs(_oracle(schedule1000), schedule1000, patches, [S, S], GroupConfig())
+        run_pgs(_oracle(schedule1000), schedule1000, patches, [S, S], TAUS, STEPS)
 
 
 def test_unified_cfg_is_all_hard(schedule1000):
-    # the unified baseline gives every group the full tau=T, n_unified ladder,
+    # the unified baseline gives every group the full tau=T, n_hard ladder,
     # so any labelling samples exactly like an all-Hard one
     rng = np.random.Generator(np.random.PCG64(9))
     patches = _patches(rng, 4)
     d = _oracle(schedule1000)
-    cfg = _unified_cfg(PipelineConfig(), 20).group_config()
-    assert all(cfg.for_label(g) == (1000, 20) for g in GroupLabel)
-    uni, rep_u = run_pgs(d, schedule1000, patches, [S, M, H, S], cfg, seed=4)
-    ref, rep_r = run_pgs(d, schedule1000, patches, [H] * 4, cfg, seed=4)
+    cfg = _unified_cfg(PipelineConfig())
+    assert cfg.taus == (1000,) * 3 and cfg.steps == (20,) * 3
+    uni, rep_u = run_pgs(d, schedule1000, patches, [S, M, H, S], cfg.taus,
+                         cfg.steps, seed=4)
+    ref, rep_r = run_pgs(d, schedule1000, patches, [H] * 4, cfg.taus,
+                         cfg.steps, seed=4)
     for a, b in zip(uni, ref):
         assert np.array_equal(a, b)
     assert rep_u.total_nfe == rep_u.unified_nfe == 80 == rep_r.total_nfe
@@ -227,8 +230,8 @@ def test_budget_monotone_in_steps(schedule1000):
     prev = 0
     for n in (2, 8, 32):
         counted = CountingDenoiser(_oracle(schedule1000))
-        cfg = GroupConfig(taus=(1000,) * 3, steps=(n,) * 3)
-        _, report = run_pgs(counted, schedule1000, patches, [H] * 4, cfg)
+        _, report = run_pgs(counted, schedule1000, patches, [H] * 4,
+                            (1000,) * 3, (n,) * 3)
         assert report.total_nfe == counted.calls == 4 * n
         assert report.total_nfe > prev
         prev = report.total_nfe
@@ -248,7 +251,7 @@ def test_report_to_text(schedule1000):
     rng = np.random.Generator(np.random.PCG64(11))
     patches = _patches(rng, 4)
     _, report = run_pgs(_oracle(schedule1000), schedule1000, patches,
-                        [S, M, H, H], GroupConfig())
+                        [S, M, H, H], TAUS, STEPS)
     text = report.to_text()
     assert "count_simple 1" in text
     assert "nfe_medium 14" in text
@@ -260,6 +263,6 @@ def test_report_to_text(schedule1000):
 
 
 def test_default_tables_consistent():
-    cfg = GroupConfig()
+    cfg = PipelineConfig()
     assert cfg.taus[0] < cfg.taus[1] < cfg.taus[2]
     assert cfg.steps[0] < cfg.steps[1] < cfg.steps[2]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from patchscaler.errors import (ConfigError, GridShapeError,
                                 TruncatedFileError)
 from patchscaler.gridio import export_pnm, load_grid, save_grid
 from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
-from patchscaler.pipeline import (PipelineConfig, benchmark, benchmark_sweep,
-                                  format_benchmark,
+from patchscaler.pipeline import (PipelineConfig, benchmark, format_benchmark,
                                   make_scene, nearest_upsample,
                                   parse_config_file, superresolve,
                                   synth_degrade)
@@ -62,8 +63,8 @@ def test_config_validation_and_builders():
             PipelineConfig(**bad)
     cfg = PipelineConfig()
     assert cfg.thresholds().gamma1 == 0.95
-    gc = cfg.group_config()
-    assert gc.for_label(GroupLabel.MEDIUM) == (700, 14)
+    medium = list(GroupLabel).index(GroupLabel.MEDIUM)
+    assert (cfg.taus[medium], cfg.steps[medium]) == (700, 14)
     assert cfg.schedule().T == 1000
 
 
@@ -117,7 +118,7 @@ def test_superresolve_deterministic():
     assert np.array_equal(sr1, sr2)
     assert sr1.shape == scene.hr.shape
     assert rep1.total_nfe == rep2.total_nfe
-    sr3, _ = superresolve(cfg, scene.lr, grm, d, seed=6)
+    sr3, _ = superresolve(replace(cfg, seed=6), scene.lr, grm, d)
     assert not np.array_equal(sr1, sr3)
 
 
@@ -171,18 +172,6 @@ def test_benchmark_and_format():
     assert "count_simple" in text and "ratio 0.400000" in text
     with pytest.raises(ConfigError):
         benchmark(cfg, scene, grm, _oracle(cfg, scene), repeats=0)
-
-
-def test_benchmark_sweep_rows():
-    scene = make_scene(32, 32, seed=7, patch=16, factor=2)
-    cfg = PipelineConfig(seed=2)
-    grm = FlatGrm(1.0)
-    rows = benchmark_sweep(cfg, scene, grm, _oracle(cfg, scene),
-                           [((400, 700, 1000), (4, 7, 10)),
-                            ((400, 700, 1000), (8, 14, 20))])
-    assert len(rows) == 2
-    assert rows[1]["nfe"] == 2 * rows[0]["nfe"]
-    assert all(np.isfinite(r["mse"]) for r in rows)
 
 
 def test_grid_io_roundtrip(tmp_path):
