@@ -66,6 +66,10 @@ def load_params(path) -> dict:
             if os.fstat(f.fileno()).st_size - f.tell() < nbytes:
                 raise TruncatedFileError(f"section '{name}' declares {nbytes} bytes, "
                                          "more than the file holds")
+            # numpy refuses a shape whose nonzero dimensions overflow its size
+            # limit even when a zero dimension leaves it without elements
+            if 8 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+                raise DimensionMismatchError(f"section '{name}' shape {shape} is too large")
             raw = f.read(nbytes)
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     return params
