@@ -49,6 +49,17 @@ def _build_config(args) -> PipelineConfig:
         raise ConfigError(str(e)) from e
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: a bad value exits 2 at parse time."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {val}")
+    return val
+
+
 def _size(text: str) -> tuple[int, int]:
     try:
         h, w = (int(s) for s in text.lower().split("x"))
@@ -222,28 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--out", required=True)
     p.add_argument("--size", default="64x64")
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--texture-frac", type=float, default=0.5)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-grm", help="train the toy coarse restorer")
     _add_shared(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-steps", type=int, default=1500)
+    p.add_argument("--train-steps", type=_positive_int, default=1500)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--channels", type=_positive_int, default=1)
+    p.add_argument("--hidden", type=_positive_int, default=16)
     p.set_defaults(func=cmd_train_grm)
 
     p = sub.add_parser("train-dit", help="train the toy patch denoiser on Gaussian data")
     _add_shared(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-steps", type=int, default=2000)
+    p.add_argument("--train-steps", type=_positive_int, default=2000)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--channels", type=_positive_int, default=1)
+    p.add_argument("--width", type=_positive_int, default=32)
+    p.add_argument("--depth", type=_positive_int, default=2)
+    p.add_argument("--batch", type=_positive_int, default=8)
     p.set_defaults(func=cmd_train_dit)
 
     p = sub.add_parser("rtm", help="texture memory operations")
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(q)
     q.add_argument("--src", required=True, help="directory of .psg grids")
     q.add_argument("--out", required=True)
-    q.add_argument("--size", type=int, default=200)
+    q.add_argument("--size", type=_positive_int, default=200)
     q.set_defaults(func=cmd_rtm_build)
     q = rtm_sub.add_parser("query")
     _add_shared(q)
@@ -273,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="adaptive vs unified sampling benchmark")
     _add_shared(p)
     p.add_argument("--size", default="96x96")
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--texture-frac", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("--grm", help="GRM checkpoint")
     p.add_argument("--denoiser", choices=("oracle", "dit"), default="oracle")
     p.add_argument("--dit", help="Patch-DiT checkpoint")

@@ -5,8 +5,9 @@ patch denoiser with texture-prompt cross-attention and time-conditioned
 dimension-wise scaling (PatchDiT), a closed-form linear-Gaussian oracle
 denoiser for verification, and a small Adam training loop.
 
-Everything is plain numpy in float64 so analytic gradients can be checked
-against central finite differences.
+Everything is plain numpy.  Training runs in float64 so analytic gradients
+can be checked against central finite differences; PatchDiT inference
+(``PatchDiT.__call__``) runs in float32.
 """
 from __future__ import annotations
 
@@ -36,25 +37,33 @@ def time_embed(t: int, dim: int) -> np.ndarray:
 # multi-head attention (shared by self- and cross-attention)
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    # (..., n, d) -> (..., heads, n, d // heads)
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
 def _attn_forward(q_in, kv_in, p, pre, heads):
+    """Multi-head attention of (..., n, d) queries on (..., m, d) keys.
+
+    Computes in the dtype of its inputs; the softmax runs in place in the
+    score buffer, so a batch needs one (..., heads, n, m) temporary.
+    """
     q = q_in @ p[pre + ".wq"]
     k = kv_in @ p[pre + ".wk"]
     v = kv_in @ p[pre + ".wv"]
     qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = qh @ kh.transpose(0, 2, 1) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    a = e / e.sum(axis=-1, keepdims=True)
+    # a Python float: a numpy float64 scalar would promote float32 scores
+    scale = float(1.0 / np.sqrt(qh.shape[-1]))
+    a = qh @ kh.swapaxes(-1, -2)
+    a *= scale
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
     merged = _merge_heads(a @ vh)
     out = merged @ p[pre + ".wo"] + p[pre + ".bo"]
     return out, (q_in, kv_in, qh, kh, vh, a, merged, scale)
@@ -135,10 +144,12 @@ class PatchDiT:
 
     # -- prompt encoding (similarity-aware, time independent) ---------------
 
-    def _encode_prompt(self, prompt):
-        tp = prompt.priors.astype(np.float64).reshape(len(prompt.priors), -1)
-        sims = prompt.similarities.astype(np.float64)
-        lin = tp @ self.params["prompt.w"] + self.params["prompt.b"]
+    def _encode_prompt(self, prompt, p):
+        """(K, width) prompt tokens in the dtype of p, and what backward needs."""
+        dt = p["prompt.w"].dtype
+        tp = prompt.priors.astype(dt).reshape(len(prompt.priors), -1)
+        sims = prompt.similarities.astype(dt)
+        lin = tp @ p["prompt.w"] + p["prompt.b"]
         return lin * sims[:, None], (tp, sims)
 
     # -- forward ------------------------------------------------------------
@@ -155,7 +166,7 @@ class PatchDiT:
         h = h0 * (1.0 + s_in)
 
         if prompt is not None:
-            pt, pcache = self._encode_prompt(prompt)
+            pt, pcache = self._encode_prompt(prompt, p)
         else:
             pt, pcache = None, None
 
@@ -187,17 +198,57 @@ class PatchDiT:
     def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
         """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts.
 
-        Runs forward once per patch: batched float64 attention was slower
-        than this loop on a 2-core CPU.
+        The inference path: the whole network runs in float32 on (b, n, d)
+        tokens, b patches at a time, with the parameters cast once per call.
+        b keeps each self-attention score tensor near 1M elements (4 MB);
+        one whole-group tensor was slower and raised peak memory.
+        The output stays within a tested bound of the float64 forward.
         """
-        if x_t.ndim != 4:
-            raise GridShapeError(f"expected a (B, c, V, V) batch, got {x_t.shape}")
+        c, v = self.channels, self.patch
+        if x_t.ndim != 4 or x_t.shape[1:] != (c, v, v):
+            raise GridShapeError(f"expected a (B, {c}, {v}, {v}) batch, got {x_t.shape}")
         if prompts is None:
             prompts = [None] * len(x_t)
         if len(prompts) != len(x_t):
             raise ConfigError(f"{len(prompts)} prompts for {len(x_t)} patches")
-        out = np.stack([self.forward(x, t, p) for x, p in zip(x_t, prompts)])
+        p = {k: a.astype(np.float32) for k, a in self.params.items()}
+        te = time_embed(t, self.width).astype(np.float32)
+        s_in = 1.0 + (te @ p["time_in.w"] + p["time_in.b"])
+        s_ca = [te @ p[f"b{i}.ca.ts.w"] + p[f"b{i}.ca.ts.b"]
+                for i in range(self.depth)]
+        n = v * v
+        chunk = max(1, (1 << 20) // (self.heads * n * n))
+        out = np.empty(x_t.shape, np.float32)
+        for s in range(0, len(x_t), chunk):
+            out[s:s + chunk] = self._infer(x_t[s:s + chunk], prompts[s:s + chunk],
+                                           p, s_in, s_ca)
         return out.astype(x_t.dtype, copy=False)
+
+    def _infer(self, x, prompts, p, s_in, s_ca):
+        """float32 forward of a (b, c, V, V) chunk; see __call__."""
+        b, c = len(x), self.channels
+        tokens = x.reshape(b, c, -1).swapaxes(1, 2).astype(np.float32)  # (b, n, c)
+        h = tokens @ p["embed.w"] + p["embed.b"]
+        h *= s_in
+        # cross-attention sees only the patches with a prompt, grouped by
+        # prompt length so each group stacks into one (k, K, d) batch
+        by_len: dict[int, list[int]] = {}
+        for i, pr in enumerate(prompts):
+            if pr is not None:
+                by_len.setdefault(len(pr.priors), []).append(i)
+        groups = [(idx, np.stack([self._encode_prompt(prompts[i], p)[0] for i in idx]))
+                  for idx in by_len.values()]
+        for i in range(self.depth):
+            pre = f"b{i}"
+            h += _attn_forward(h, h, p, f"{pre}.sa", self.heads)[0]
+            for idx, pt in groups:
+                ca_out = _attn_forward(h[idx], pt, p, f"{pre}.ca", self.heads)[0]
+                h[idx] += ca_out * s_ca[i]
+            g = np.tanh(h @ p[f"{pre}.ff.w1"] + p[f"{pre}.ff.b1"])
+            h += g @ p[f"{pre}.ff.w2"]
+            h += p[f"{pre}.ff.b2"]
+        y = h @ p["out.w"] + p["out.b"]  # (b, n, c)
+        return y.swapaxes(1, 2).reshape(x.shape)
 
     # -- backward -----------------------------------------------------------
 
@@ -266,21 +317,6 @@ class PatchDiT:
         loss = float(np.mean(diff * diff))
         d_out = 2.0 * diff / diff.size
         return loss, self.backward(d_out, cache, prompt)
-
-
-def cross_attend(tokens: np.ndarray, prompt, t: int, model: PatchDiT,
-                 block: int = 0) -> np.ndarray:
-    """One texture-prompt cross-attention update on a token sequence.
-
-    Exposed separately so the residual/time-scaling contract can be tested
-    in isolation from the full denoiser.
-    """
-    pt, _ = model._encode_prompt(prompt)
-    pre = f"b{block}.ca"
-    out, _ = _attn_forward(tokens, pt, model.params, pre, model.heads)
-    te = time_embed(t, model.width)
-    s_b = te @ model.params[pre + ".ts.w"] + model.params[pre + ".ts.b"]
-    return tokens + out * s_b
 
 
 # ---------------------------------------------------------------------------

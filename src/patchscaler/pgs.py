@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import GroupLabel
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .schedule import (NoiseSchedule, make_substeps, reverse_step,
                        truncated_forward)
 
@@ -66,7 +66,7 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     The patches are stacked into one (B, c, V, V) batch, so each ladder step
     is one denoiser call on B patches: exactly n evaluations per patch.
     Noise is drawn per patch from (seed, patch index), so results are order
-    independent.
+    independent.  A non-finite sample raises NumericError.
     """
     ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
     if indices is None:
@@ -82,6 +82,8 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     for t, t_next in zip(ladder.steps, ladder.steps[1:]):
         x0_hat = denoiser(x, t, prompts)
         x = reverse_step(s, x, x0_hat, t, t_next)
+    if not np.isfinite(x).all():
+        raise NumericError("sampled patches are not finite")
     return list(x)
 
 

@@ -241,6 +241,8 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
         if cfg.colornorm:
             sr = wavelet_color_normalize(sr, lr_up, cfg.levels)
         sr = sr[:, :orig[0], :orig[1]]
+        if not np.isfinite(sr).all():
+            raise NumericError("recomposed image is not finite")
     return sr.astype(np.float32), report
 
 

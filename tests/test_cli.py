@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from patchscaler import cli
+from patchscaler.checkpoint import save_params
 from patchscaler.gridio import load_grid, save_grid
+from patchscaler.models import PatchDiT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -222,6 +224,37 @@ def test_nan_input_is_numeric_error_at_grm(tmp_path, capsys):
     rc = cli.main(["sr", "--input", str(path), "--output", str(tmp_path / "out.psg")])
     assert rc == 4
     assert "stage 'grm' failed" in capsys.readouterr().err
+
+
+def test_non_finite_dit_output_is_numeric_error_at_pgs(tmp_path, capsys):
+    # a NaN output bias makes every sampled patch NaN; without the check the
+    # run exits 0 and writes a non-finite grid
+    dit = PatchDiT(channels=1, patch=8, width=8, depth=1, seed=0)
+    dit.params["out.b"][:] = np.nan
+    ckpt = tmp_path / "nan.psck"
+    save_params(ckpt, dit.params)
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.random.default_rng(0).standard_normal((1, 8, 8)).astype(np.float32))
+    out = tmp_path / "out.psg"
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out), "--denoiser", "dit",
+                   "--dit", str(ckpt), "--patch-size", "8", "--overlap", "2",
+                   "--steps", "2,3,4"])
+    assert rc == 4
+    assert "stage 'pgs' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "scene", "--channels", "0"],
+    ["train-dit", "--out", "dit.psck", "--train-steps", "-1"],
+    ["rtm", "build", "--src", "grids", "--out", "mem.rtm", "--size", "0"],
+    ["bench", "--repeats", "two"],
+])
+def test_count_flags_must_be_positive_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 def test_cli_overrides_reach_pipeline(tmp_path, capsys):

@@ -90,7 +90,7 @@ def _serial_run_group(denoise_one, s, patches, tau, n, prompts, seed, indices):
 
 
 @pytest.mark.parametrize("kind", ["oracle", "dit"])
-def test_run_group_matches_serial_reference(schedule1000, kind):
+def test_run_group_matches_serial_reference(schedule1000, kind, dit_f32_tol):
     rng = np.random.Generator(np.random.PCG64(13))
     patches = _patches(rng, 5)
     indices = [7, 2, 9, 0, 4]
@@ -111,8 +111,10 @@ def test_run_group_matches_serial_reference(schedule1000, kind):
     got = run_group(d, schedule1000, patches, 400, 8, prompts=prompts, seed=21,
                     indices=indices)
     ref = _serial_run_group(one, schedule1000, patches, 400, 8, prompts, 21, indices)
+    # the DiT's batched inference runs in float32, its forward in float64
+    tol = 0.0 if kind == "oracle" else dit_f32_tol
     for a, b in zip(got, ref, strict=True):
-        assert a.shape == b.shape and np.array_equal(a, b)
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= tol
 
 
 def test_run_group_deterministic(schedule1000):

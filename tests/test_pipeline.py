@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patchscaler import pipeline
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import (ConfigError, GridShapeError,
-                                MagicMismatchError, StageError,
+                                MagicMismatchError, NumericError, StageError,
                                 TruncatedFileError)
 from patchscaler.gridio import export_pnm, load_grid, save_grid
 from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
@@ -158,6 +159,26 @@ def test_superresolve_stage_errors():
                      memory=object(), extractor=None)
     assert exc.value.stage == "retrieve"
     assert isinstance(exc.value.cause, ConfigError)
+
+
+def test_non_finite_output_fails_at_its_stage(monkeypatch):
+    scene = make_scene(32, 32, seed=5, patch=16, factor=2)
+    cfg = PipelineConfig(seed=1)
+
+    def nan_denoiser(x_t, t, prompts=None):
+        return np.full_like(x_t, np.nan)
+
+    with pytest.raises(StageError) as exc:
+        superresolve(cfg, scene.lr, FlatGrm(), nan_denoiser)
+    assert exc.value.stage == "pgs"
+    assert isinstance(exc.value.cause, NumericError)
+
+    monkeypatch.setattr(pipeline, "wavelet_color_normalize",
+                        lambda sr, ref, levels: sr * np.inf)
+    with pytest.raises(StageError) as exc:
+        superresolve(cfg, scene.lr, FlatGrm(), _oracle(cfg, scene))
+    assert exc.value.stage == "recompose"
+    assert isinstance(exc.value.cause, NumericError)
 
 
 def test_benchmark_and_format():
