@@ -190,8 +190,10 @@ def cmd_rtm_query(args):
     cfg = _build_config(args)
     mem = load_memory(args.mem)
     patch = gridio.load_grid(args.patch_file)
-    extractor = TextureExtractor(patch.shape, seed=cfg.seed)
-    res = retrieve_topk(mem, patch, extractor, cfg.topk)
+    if patch.shape != mem.values.shape[1:]:
+        raise DimensionMismatchError(f"patch {patch.shape} != memory patches "
+                                     f"{mem.values.shape[1:]}")
+    res = retrieve_topk(mem, patch, mem.extractor(), cfg.topk)
     for idx, sim in zip(res.indices, res.similarities):
         print(f"{idx} {sim:.6f}")
     return 0
@@ -205,7 +207,7 @@ def cmd_sr(args):
     memory = extractor = None
     if args.rtm:
         memory = load_memory(args.rtm)
-        extractor = TextureExtractor(memory.values.shape[1:], seed=cfg.seed)
+        extractor = memory.extractor()
     sr, report = pipeline.superresolve(cfg, lr, grm, denoiser, memory, extractor)
     gridio.save_grid(args.output, sr)
     sys.stdout.write(report.to_text())

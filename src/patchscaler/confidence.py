@@ -45,12 +45,6 @@ class LossParams:
             raise ConfigError("lambda and eta must be positive")
 
 
-def confidence_loss(y_hr: np.ndarray, x_hr: np.ndarray, c: np.ndarray,
-                    p: LossParams = LossParams()) -> float:
-    loss, _, _ = confidence_loss_and_grads(y_hr, x_hr, c, p)
-    return loss
-
-
 def confidence_loss_and_grads(y_hr: np.ndarray, x_hr: np.ndarray,
                               c: np.ndarray, p: LossParams = LossParams()):
     """Loss value plus gradients w.r.t. the prediction and the confidence map.

@@ -50,20 +50,24 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _attn_forward(q_in, kv_in, p, pre, heads):
     """Multi-head attention of (..., n, d) queries on (..., m, d) keys.
 
-    Computes in the dtype of its inputs; the softmax runs in place in the
-    score buffer, so a batch needs one (..., heads, n, m) temporary.
+    Computes in the dtype of its inputs.  The scale goes on q, a tensor
+    m / dh times smaller than the scores, and the scores are built key-major,
+    (..., heads, m, n), so the softmax reductions over keys run along rows
+    and the normalisation happens in place: a batch needs one score
+    temporary, and the weights (..., heads, n, m) are a transposed view.
     """
     q = q_in @ p[pre + ".wq"]
     k = kv_in @ p[pre + ".wk"]
     v = kv_in @ p[pre + ".wv"]
     qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
-    # a Python float: a numpy float64 scalar would promote float32 scores
+    # a Python float: a numpy float64 scalar would promote float32 queries
     scale = float(1.0 / np.sqrt(qh.shape[-1]))
-    a = qh @ kh.swapaxes(-1, -2)
-    a *= scale
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    qh = qh * scale
+    at = kh @ qh.swapaxes(-1, -2)
+    at -= at.max(axis=-2, keepdims=True)
+    np.exp(at, out=at)
+    at /= at.sum(axis=-2, keepdims=True)
+    a = at.swapaxes(-1, -2)
     merged = _merge_heads(a @ vh)
     out = merged @ p[pre + ".wo"] + p[pre + ".bo"]
     return out, (q_in, kv_in, qh, kh, vh, a, merged, scale)
@@ -79,7 +83,7 @@ def _attn_backward(dout, cache, p, pre, grads, heads):
     d_vh = a.transpose(0, 2, 1) @ d_oh
     d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
     d_qh = d_scores @ kh * scale
-    d_kh = d_scores.transpose(0, 2, 1) @ qh * scale
+    d_kh = d_scores.transpose(0, 2, 1) @ qh  # qh holds the scaled queries
     dq, dk, dv = _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
     grads[pre + ".wq"] += q_in.T @ dq
     grads[pre + ".wk"] += kv_in.T @ dk
@@ -200,8 +204,9 @@ class PatchDiT:
 
         The inference path: the whole network runs in float32 on (b, n, d)
         tokens, b patches at a time, with the parameters cast once per call.
-        b keeps each self-attention score tensor near 1M elements (4 MB);
-        one whole-group tensor was slower and raised peak memory.
+        b = max(1, 2**18 // (heads * n * n)) keeps each self-attention score
+        tensor near 256K float32 elements (1 MB), inside a per-core L2 cache;
+        larger chunks (4 MB, or one whole group) were slower.
         The output stays within a tested bound of the float64 forward.
         """
         c, v = self.channels, self.patch
@@ -217,7 +222,7 @@ class PatchDiT:
         s_ca = [te @ p[f"b{i}.ca.ts.w"] + p[f"b{i}.ca.ts.b"]
                 for i in range(self.depth)]
         n = v * v
-        chunk = max(1, (1 << 20) // (self.heads * n * n))
+        chunk = max(1, (1 << 18) // (self.heads * n * n))
         out = np.empty(x_t.shape, np.float32)
         for s in range(0, len(x_t), chunk):
             out[s:s + chunk] = self._infer(x_t[s:s + chunk], prompts[s:s + chunk],

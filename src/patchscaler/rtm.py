@@ -2,7 +2,9 @@
 
 Keys are unit-normalized feature vectors of texture patches; values are
 the patches themselves.  The store is compacted offline by farthest point
-sampling and queried with exact top-K normalized inner products.
+sampling and queried with exact top-K normalized inner products.  A saved
+memory records the seed of the extractor that made its keys, so a query
+runs through the same feature map.
 """
 from __future__ import annotations
 
@@ -15,19 +17,27 @@ import numpy as np
 from .errors import (ConfigError, DegenerateQueryError, DimensionMismatchError,
                      GridShapeError, MagicMismatchError, TruncatedFileError)
 
-_MAGIC = b"RTM1"
+_MAGIC = b"RTM2"
+_HEADER = struct.Struct("<4IQ")  # n, D, c, V, extractor seed
 
 
 @dataclass(frozen=True)
 class TextureMemory:
     keys: np.ndarray    # (n, D) float32, unit L2 rows
     values: np.ndarray  # (n, c, V, V) float32
+    extractor_seed: int = 0  # TextureExtractor(values.shape[1:], seed) made the keys
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.values.ndim != 4:
             raise GridShapeError("keys must be (n, D), values (n, c, V, V)")
         if len(self.keys) != len(self.values):
             raise GridShapeError("key/value counts disagree")
+        if not 0 <= self.extractor_seed < 2**64:
+            raise ConfigError(f"extractor seed {self.extractor_seed} outside [0, 2**64)")
+
+    def extractor(self) -> TextureExtractor:
+        """The feature map that made the keys; queries must go through it."""
+        return TextureExtractor(self.values.shape[1:], seed=self.extractor_seed)
 
     @property
     def count(self) -> int:
@@ -50,6 +60,7 @@ class TextureExtractor:
 
     def __init__(self, patch_shape: tuple[int, int, int], seed: int = 0):
         self.patch_shape = tuple(patch_shape)
+        self.seed = seed
         hidden, dim = 64, 32
         rng = np.random.Generator(np.random.PCG64(seed))
         n_in = int(np.prod(patch_shape))
@@ -98,7 +109,7 @@ def build_memory(patches: list[np.ndarray], t, m: int) -> TextureMemory:
     keys = np.stack([extract_query(t, p) for p in patches])
     idx = farthest_point_sample(keys, m)
     values = np.stack([patches[i] for i in idx]).astype(np.float32)
-    return TextureMemory(keys=keys[idx], values=values)
+    return TextureMemory(keys=keys[idx], values=values, extractor_seed=t.seed)
 
 
 def retrieve_topk(mem: TextureMemory, patch: np.ndarray, t, K: int) -> RetrievalResult:
@@ -106,6 +117,9 @@ def retrieve_topk(mem: TextureMemory, patch: np.ndarray, t, K: int) -> Retrieval
     if not 1 <= K <= mem.count:
         raise ConfigError(f"need 1 <= K <= {mem.count}, got {K}")
     query = extract_query(t, patch)
+    if query.shape != mem.keys.shape[1:]:
+        raise DimensionMismatchError(f"{len(query)} query features, memory keys have "
+                                     f"{mem.keys.shape[1]}")
     sims = mem.keys.astype(np.float64) @ query.astype(np.float64)
     order = np.lexsort((np.arange(mem.count), -sims))[:K]
     return RetrievalResult(indices=order.astype(np.int64),
@@ -120,7 +134,7 @@ def save_memory(mem: TextureMemory, path):
         raise GridShapeError("texture values must be square patches")
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<4I", n, D, c, V))
+        f.write(_HEADER.pack(n, D, c, V, mem.extractor_seed))
         f.write(np.ascontiguousarray(mem.keys, dtype="<f4").tobytes())
         f.write(np.ascontiguousarray(mem.values, dtype="<f4").tobytes())
 
@@ -130,10 +144,10 @@ def load_memory(path) -> TextureMemory:
         magic = f.read(4)
         if magic != _MAGIC:
             raise MagicMismatchError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        header = f.read(16)
-        if len(header) < 16:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
             raise TruncatedFileError("header truncated")
-        n, D, c, V = struct.unpack("<4I", header)
+        n, D, c, V, seed = _HEADER.unpack(header)
         if min(n, D, c, V) < 1:
             raise DimensionMismatchError(f"memory sizes must be positive: {(n, D, c, V)}")
         key_count, val_count = n * D * 4, n * c * V * V * 4
@@ -147,4 +161,4 @@ def load_memory(path) -> TextureMemory:
         val_bytes = f.read(val_count)
     keys = np.frombuffer(key_bytes, dtype="<f4").reshape(n, D).copy()
     values = np.frombuffer(val_bytes, dtype="<f4").reshape(n, c, V, V).copy()
-    return TextureMemory(keys=keys, values=values)
+    return TextureMemory(keys=keys, values=values, extractor_seed=seed)

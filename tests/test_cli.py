@@ -10,6 +10,7 @@ from patchscaler import cli
 from patchscaler.checkpoint import save_params
 from patchscaler.gridio import load_grid, save_grid
 from patchscaler.models import PatchDiT
+from patchscaler.rtm import TextureMemory, save_memory
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -123,6 +124,39 @@ def test_rtm_build_and_query(tmp_path, capsys):
     assert sims == sorted(sims, reverse=True)
 
 
+def test_rtm_query_uses_the_extractor_in_the_file(tmp_path, capsys):
+    # --seed does not reach the feature map: the memory names its own, so a
+    # query under another seed finds the same neighbours
+    src = tmp_path / "grids"
+    src.mkdir()
+    rng = np.random.Generator(np.random.PCG64(6))
+    save_grid(src / "g.psg", rng.standard_normal((1, 32, 32)).astype(np.float32))
+    mem = tmp_path / "mem.rtm"
+    assert cli.main(["rtm", "build", "--src", str(src), "--out", str(mem),
+                     "--size", "4", "--seed", "0"]) == 0
+    patch = tmp_path / "q.psg"
+    save_grid(patch, rng.standard_normal((1, 16, 16)).astype(np.float32))
+    capsys.readouterr()
+    printed = []
+    for seed in ("0", "5"):
+        assert cli.main(["rtm", "query", "--mem", str(mem), "--patch", str(patch),
+                         "--topk", "4", "--seed", seed]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and len(printed[0].splitlines()) == 4
+
+    # an RTM1 file, a patch of another shape, keys of another width
+    small = tmp_path / "small.psg"
+    save_grid(small, rng.standard_normal((1, 12, 12)).astype(np.float32))
+    old = tmp_path / "old.rtm"
+    old.write_bytes(b"RTM1" + mem.read_bytes()[4:])
+    narrow = tmp_path / "narrow.rtm"
+    save_memory(TextureMemory(keys=np.eye(4, 8, dtype=np.float32),
+                              values=np.ones((4, 1, 16, 16), np.float32)), narrow)
+    for m, p in ((old, patch), (mem, small), (narrow, patch)):
+        assert cli.main(["rtm", "query", "--mem", str(m), "--patch", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error")
+
+
 def test_bench_runs(tmp_path, capsys):
     rc = cli.main(["bench", "--size", "32x32", "--seed", "4",
                    "--texture-frac", "0.25"])
@@ -208,7 +242,7 @@ def test_bad_checkpoint_exits_3(tmp_path, capsys, sections):
 
 def test_oversized_memory_header_exits_3(tmp_path, capsys):
     mem = tmp_path / "huge.rtm"
-    mem.write_bytes(b"RTM1" + struct.pack("<4I", 2**31, 2**31, 1, 16) + bytes(64))
+    mem.write_bytes(b"RTM2" + struct.pack("<4IQ", 2**31, 2**31, 1, 16, 0) + bytes(64))
     patch = tmp_path / "q.psg"
     save_grid(patch, np.ones((1, 16, 16), np.float32))
     rc = cli.main(["rtm", "query", "--mem", str(mem), "--patch", str(patch)])

@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from patchscaler.confidence import (GroupLabel, LossParams, Thresholds,
-                                    build_qmap, confidence_loss,
-                                    confidence_loss_and_grads,
+                                    build_qmap, confidence_loss_and_grads,
                                     patch_mean_confidence, quantize)
 from patchscaler.errors import ConfigError, GridShapeError
 from patchscaler.tiling import decompose
@@ -13,7 +12,7 @@ from patchscaler.tiling import decompose
 def test_perfect_prediction_zero_loss():
     x = np.ones((2, 4, 4))
     c = np.ones((1, 4, 4))
-    assert confidence_loss(x, x, c) == pytest.approx(0.0)
+    assert confidence_loss_and_grads(x, x, c)[0] == pytest.approx(0.0)
 
 
 def test_minimizing_confidence_matches_closed_form():
@@ -30,8 +29,8 @@ def test_lambda_scaling_monotone():
     y = rng.standard_normal((1, 4, 4))
     x = rng.standard_normal((1, 4, 4))
     c = np.full((1, 4, 4), 0.5)
-    l1 = confidence_loss(y, x, c, LossParams(lam=1.0, eta=1.0))
-    l2 = confidence_loss(y, x, c, LossParams(lam=2.0, eta=1.0))
+    l1 = confidence_loss_and_grads(y, x, c, LossParams(lam=1.0, eta=1.0))[0]
+    l2 = confidence_loss_and_grads(y, x, c, LossParams(lam=2.0, eta=1.0))[0]
     base = np.mean(np.abs(y - x)) ** 2
     assert (l2 - base) > (l1 - base) > 0
 
@@ -40,7 +39,7 @@ def test_loss_rejects_bad_confidence():
     x = np.zeros((1, 2, 2))
     c = np.zeros((1, 2, 2))
     with pytest.raises(ConfigError):
-        confidence_loss(x, x, c)
+        confidence_loss_and_grads(x, x, c)
 
 
 def test_loss_gradients_match_finite_differences():
@@ -53,16 +52,16 @@ def test_loss_gradients_match_finite_differences():
     h = 1e-6
     for idx in [(0, 0, 0), (1, 2, 1), (0, 1, 2)]:
         y[idx] += h
-        lp = confidence_loss(y, x, c, p)
+        lp = confidence_loss_and_grads(y, x, c, p)[0]
         y[idx] -= 2 * h
-        lm = confidence_loss(y, x, c, p)
+        lm = confidence_loss_and_grads(y, x, c, p)[0]
         y[idx] += h
         assert (lp - lm) / (2 * h) == pytest.approx(d_y[idx], rel=1e-4)
     for idx in [(0, 0, 1), (0, 2, 2)]:
         c[idx] += h
-        lp = confidence_loss(y, x, c, p)
+        lp = confidence_loss_and_grads(y, x, c, p)[0]
         c[idx] -= 2 * h
-        lm = confidence_loss(y, x, c, p)
+        lm = confidence_loss_and_grads(y, x, c, p)[0]
         c[idx] += h
         assert (lp - lm) / (2 * h) == pytest.approx(d_c[idx], rel=1e-4)
 

@@ -44,12 +44,15 @@ grid_files = st.one_of(
 )
 
 _size = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+_seed = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))
+# RTM1, the format before the extractor seed was stored, must be refused
 memory_files = st.one_of(
     st.binary(max_size=64),
-    st.tuples(st.tuples(_size, _size, _size, _size), st.binary(max_size=64))
-      .map(lambda sp: b"RTM1" + struct.pack("<4I", *sp[0]) + sp[1]),
-    st.tuples(_small, _small, _small, _small).flatmap(
-        lambda s: _with_payload(b"RTM1" + struct.pack("<4I", *s),
+    st.tuples(st.sampled_from([b"RTM1", b"RTM2"]),
+              st.tuples(_size, _size, _size, _size, _seed), st.binary(max_size=64))
+      .map(lambda msp: msp[0] + struct.pack("<4IQ", *msp[1]) + msp[2]),
+    st.tuples(_small, _small, _small, _small, _seed).flatmap(
+        lambda s: _with_payload(b"RTM2" + struct.pack("<4IQ", *s),
                                 4 * s[0] * (s[1] + s[2] * s[3] * s[3]))),
 )
 
@@ -67,8 +70,10 @@ def test_load_grid_any_bytes(raw):
 def test_load_memory_any_bytes(raw):
     mem = _load(load_memory, raw)
     if mem is not None:
+        assert raw[:4] == b"RTM2"
         assert isinstance(mem, TextureMemory) and mem.count >= 1
         assert mem.values.shape[0] == mem.keys.shape[0]
+        assert mem.extractor_seed == struct.unpack("<Q", raw[20:28])[0]
 
 
 _names = st.one_of(st.binary(max_size=6), st.text(max_size=6).map(str.encode))

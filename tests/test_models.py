@@ -64,7 +64,7 @@ def test_dit_batch_matches_per_patch_forward(dit_f32_tol):
 
 def test_dit_float32_inference_within_bound_of_float64_forward(dit_f32_tol):
     # the benchmark's DiT: 256 tokens, width 64, 4 heads; measured max abs
-    # difference 5.7e-8 (numpy 2.4.6, OpenBLAS 0.3.31, x86-64)
+    # difference 5.2e-8 (numpy 2.4.6, OpenBLAS 0.3.31, x86-64)
     dit = PatchDiT(channels=1, patch=16, width=64, depth=2, heads=4, seed=0)
     rng = np.random.Generator(np.random.PCG64(14))
     x = rng.standard_normal((6, 1, 16, 16)).astype(np.float32)
@@ -92,24 +92,52 @@ def _record_attention(monkeypatch):
 
 
 def test_dit_chunks_match_per_patch_calls(monkeypatch, dit_f32_tol):
-    # 256 tokens and 4 heads: chunks of (1 << 20) // (4 * 256 * 256) = 4
-    # patches, so 9 patches make chunks of 4, 4 and 1; prompts of K = 3 and
-    # K = 2 fall on both sides of each chunk boundary
-    dit = PatchDiT(channels=1, patch=16, width=16, depth=1, heads=4, seed=8)
+    # 144 tokens and 4 heads: chunks of (1 << 18) // (4 * 144 * 144) = 3
+    # patches, so 10 patches make chunks of 3, 3, 3 and 1; prompts of K = 3
+    # and K = 2 fall on both sides of each chunk boundary
+    dit = PatchDiT(channels=1, patch=12, width=16, depth=1, heads=4, seed=8)
     rng = np.random.Generator(np.random.PCG64(15))
-    x = rng.standard_normal((9, 1, 16, 16)).astype(np.float32)
-    k3, k2 = _prompt(rng, 3, 1, 16), _prompt(rng, 2, 1, 16)
-    prompts = [k3, None, k2, k3, k2, k2, None, k3, k3]
+    x = rng.standard_normal((10, 1, 12, 12)).astype(np.float32)
+    k3, k2 = _prompt(rng, 3, 1, 12), _prompt(rng, 2, 1, 12)
+    prompts = [k3, None, k2, k2, k3, k2, k3, None, k3, k2]
     calls = _record_attention(monkeypatch)
     got = dit(x, 300, prompts)
     sa = [q[0] for pre, q, _, _ in calls if pre.endswith(".sa")]
     ca = sorted((q[0], kv[1]) for pre, q, kv, _ in calls if pre.endswith(".ca"))
-    assert sa == [4, 4, 1]
+    assert sa == [3, 3, 3, 1]
     # cross-attention runs once per prompt length in each chunk, on the
     # prompted patches only
-    assert ca == [(1, 2), (1, 3), (1, 3), (2, 2), (2, 3)]
-    one = np.concatenate([dit(x[i:i + 1], 300, prompts[i:i + 1]) for i in range(9)])
+    assert ca == [(1, 2), (1, 2), (1, 3), (1, 3), (2, 2), (2, 3)]
+    one = np.concatenate([dit(x[i:i + 1], 300, prompts[i:i + 1]) for i in range(10)])
     assert np.max(np.abs(got - one)) <= dit_f32_tol
+
+
+def test_attention_softmax_over_keys_is_stable():
+    # scores near +-1e3 overflow exp unless the max over keys is taken out
+    # first, and a max or sum over the query axis gives other weights; both
+    # kernels must match a query-major float64 softmax
+    dit = PatchDiT(channels=1, patch=4, width=16, depth=1, heads=2, seed=5)
+    rng = np.random.Generator(np.random.PCG64(4))
+    p = {k: a.astype(np.float32) for k, a in dit.params.items()}
+    p["b0.sa.wq"] *= 150.0  # peak |score| 982; float32 error 2.6e-6 relative
+    p64 = {k: a.astype(np.float64) for k, a in p.items()}
+    tokens = rng.standard_normal((3, 20, 16)).astype(np.float32)
+    x = tokens.astype(np.float64)
+    split = [(x @ p64["b0.sa." + w]).reshape(3, 20, 2, 8).swapaxes(1, 2)
+             for w in ("wq", "wk", "wv")]
+    scores = split[0] @ split[1].swapaxes(-1, -2) / np.sqrt(8)
+    assert 5e2 < np.max(np.abs(scores)) < 2e3
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = (weights @ split[2]).swapaxes(1, 2).reshape(3, 20, 16)
+    ref = merged @ p64["b0.sa.wo"] + p64["b0.sa.bo"]
+    got64, cache = _attn_forward(x, x, p64, "b0.sa", dit.heads)
+    got, _ = _attn_forward(tokens, tokens, p, "b0.sa", dit.heads)
+    assert got.dtype == np.float32 and np.all(np.isfinite(got))
+    assert np.max(np.abs(got64 - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - got64)) <= 1e-5 * np.max(np.abs(got64))
+    assert cache[5].shape == (3, 2, 20, 20)
+    assert np.max(np.abs(cache[5].sum(axis=-1) - 1.0)) <= 1e-12
 
 
 def test_dit_inference_stays_float32(monkeypatch):

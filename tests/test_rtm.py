@@ -94,6 +94,28 @@ def test_build_memory_small_and_deterministic():
     assert np.array_equal(mem1.values, mem2.values)
 
 
+def test_memory_records_its_extractor(tmp_path):
+    # the keys are only comparable with queries from the same feature map,
+    # so the memory carries the extractor's seed through save and load
+    rng = np.random.Generator(np.random.PCG64(4))
+    ex = TextureExtractor((1, 4, 4), seed=7)
+    patches = [rng.standard_normal((1, 4, 4)).astype(np.float32) for _ in range(5)]
+    mem = build_memory(patches, ex, 3)
+    assert mem.extractor_seed == 7
+    path = tmp_path / "mem.rtm"
+    save_memory(mem, path)
+    back = load_memory(path)
+    assert back.extractor_seed == 7
+    q = patches[2]
+    assert np.array_equal(back.extractor()(q), ex(q))
+    assert path.read_bytes()[:4] == b"RTM2"
+    path.write_bytes(b"RTM1" + path.read_bytes()[4:])
+    with pytest.raises(MagicMismatchError):
+        load_memory(path)
+    with pytest.raises(ConfigError):
+        TextureMemory(keys=mem.keys, values=mem.values, extractor_seed=-1)
+
+
 def test_retrieve_topk_basis_examples():
     values = np.zeros((2, 1, 1, 1), np.float32)
     mem = TextureMemory(keys=np.eye(2, dtype=np.float32), values=values)
