@@ -61,11 +61,14 @@ def _positive_int(text: str) -> int:
 
 
 def _size(text: str) -> tuple[int, int]:
+    """argparse type for an HxW scene size of two positive integers."""
     try:
         h, w = (int(s) for s in text.lower().split("x"))
-        return h, w
-    except ValueError as e:
-        raise ConfigError(f"bad size '{text}', expected HxW") from e
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad size '{text}', expected HxW") from None
+    if h < 1 or w < 1:
+        raise argparse.ArgumentTypeError(f"size must be positive, got {h}x{w}")
+    return h, w
 
 
 def _section_shape(loaded: dict, name: str, ndim: int) -> tuple[int, ...]:
@@ -110,7 +113,7 @@ def _make_denoiser(cfg: PipelineConfig, args, reference: np.ndarray):
 
 def cmd_gen_data(args):
     cfg = _build_config(args)
-    h, w = _size(args.size)
+    h, w = args.size
     scene = make_scene(h, w, seed=cfg.seed, channels=args.channels,
                        patch=cfg.patch, texture_frac=args.texture_frac,
                        factor=cfg.factor)
@@ -216,7 +219,7 @@ def cmd_sr(args):
 
 def cmd_bench(args):
     cfg = _build_config(args)
-    h, w = _size(args.size)
+    h, w = args.size
     scene = make_scene(h, w, seed=cfg.seed, channels=args.channels,
                        patch=cfg.patch, texture_frac=args.texture_frac,
                        factor=cfg.factor)
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a labeled synthetic scene")
     _add_shared(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--size", default="64x64")
+    p.add_argument("--size", type=_size, default="64x64")
     p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--texture-frac", type=float, default=0.5)
     p.set_defaults(func=cmd_gen_data)
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="adaptive vs unified sampling benchmark")
     _add_shared(p)
-    p.add_argument("--size", default="96x96")
+    p.add_argument("--size", type=_size, default="96x96")
     p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--texture-frac", type=float, default=0.5)
     p.add_argument("--repeats", type=_positive_int, default=1)

@@ -369,21 +369,43 @@ def _windows(x):
     return win.transpose(1, 2, 0, 3, 4)
 
 
+def _channels_last(a):
+    """(f, h, w) view of a copy of a that is channels-last in memory."""
+    return a.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+
+
 def _conv3x3_forward(x, w, b):
-    # im2col + GEMM in bands of about 4096 output cells: the full column
-    # matrix of a 512x512 input would take ~300 MB.  Each band feeds the same
-    # rows to the same GEMM, so the output equals the unbanded one bit for bit.
+    # im2col + GEMM in bands of max(1, 4096 // width) output rows, about 4096
+    # cells: the fastest band size probed at 512x512, where the whole column
+    # matrix would take ~300 MB.  x is padded once, and each band fills one
+    # reused channels-first (c, 3, 3, rows, width) column buffer with nine
+    # shifted slice copies of whole rows.  The GEMM stays (cells, 9c) @
+    # (9c, f) on a transposed view of that buffer: the reduction runs in
+    # (c, di, dj) order through the BLAS kernels of a plain im2col product,
+    # so banding leaves the bits alone.  The faster (f, 9c) @ (9c, cells)
+    # orientation sends a band's trailing cells through other kernels and
+    # changes bits.  (So does a band of under ~75 cells with c >= 4, where
+    # OpenBLAS picks its small-matrix kernel by operand layout.)  Each band's
+    # (cells, f) result goes, bias added, into the C-contiguous (f, h, w)
+    # output while it is still in cache.
     c, h_, w_ = x.shape
     f = len(w)
-    win = _windows(x)
-    wt = w.reshape(f, -1).T
-    y = np.empty((h_, w_, f))
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    wt = w.reshape(f, c * 9).T
+    y = np.empty((f, h_, w_))
     band = max(1, 4096 // w_)
+    buf = np.empty(c * 9 * min(band, h_) * w_)
+    out = np.empty((min(band, h_) * w_, f))
     for r in range(0, h_, band):
-        np.matmul(win[r:r + band].reshape(-1, c * 9), wt,
-                  out=y[r:r + band].reshape(-1, f))
-    y += b
-    return y.transpose(2, 0, 1)
+        bh = min(band, h_ - r)
+        n = bh * w_
+        cols = buf[:c * 9 * n].reshape(c, 3, 3, bh, w_)
+        for di in range(3):
+            for dj in range(3):
+                cols[:, di, dj] = xp[:, r + di:r + di + bh, dj:dj + w_]
+        np.matmul(cols.reshape(c * 9, n).T, wt, out=out[:n])
+        np.add(out[:n].T, b[:, None], out=y[:, r:r + bh].reshape(f, n))
+    return y
 
 
 def _conv3x3_backward(dy, x, w):
@@ -430,7 +452,11 @@ class GlobalRestorer:
         p = self.params
         x = y_lr.astype(np.float64)
         h1 = np.tanh(_conv3x3_forward(x, p["conv1.w"], p["conv1.b"]))
-        h2 = np.tanh(_conv3x3_forward(h1, p["conv2.w"], p["conv2.b"]))
+        # einsum's summation order in the heads, and the backward's in
+        # training, follow the memory layout of h2 and h1: keep both in the
+        # channels-last layout the checkpoint and golden digests were made
+        # with, so outputs and trained weights keep their bits
+        h2 = _channels_last(np.tanh(_conv3x3_forward(h1, p["conv2.w"], p["conv2.b"])))
         feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
         y_hr = x + feat
         z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]
@@ -438,7 +464,7 @@ class GlobalRestorer:
         conf = CONF_FLOOR + (1.0 - CONF_FLOOR) * sig
         if not want_cache:
             return y_hr, conf
-        return y_hr, conf, (x, h1, h2, sig)
+        return y_hr, conf, (x, _channels_last(h1), h2, sig)
 
     def __call__(self, y_lr: np.ndarray):
         return self.forward(y_lr)

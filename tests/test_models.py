@@ -255,15 +255,18 @@ def _conv3x3_reference(x, w, b):
 
 
 # bands of 4096 // width rows: 40 rows for width 100 and 13 for width 300,
-# neither dividing the height; width 48 fits a 48-row input in one band
+# neither dividing the height; width 48 fits a 48-row input in one band;
+# width 4100 > 4096 gives one-row bands
 @pytest.mark.parametrize("shape", [(1, 97, 100), (16, 50, 300), (1, 48, 48),
-                                   (16, 48, 48)])
+                                   (16, 48, 48), (1, 2, 4100), (3, 29, 150)])
 def test_banded_conv_matches_full_im2col(shape):
     rng = np.random.Generator(np.random.PCG64(12))
     x = rng.standard_normal(shape)
     w = rng.standard_normal((16, shape[0], 3, 3))
     b = rng.standard_normal(16)
-    assert np.array_equal(_conv3x3_forward(x, w, b), _conv3x3_reference(x, w, b))
+    y = _conv3x3_forward(x, w, b)
+    assert y.shape == (16,) + shape[1:] and y.flags.c_contiguous
+    assert np.array_equal(y, _conv3x3_reference(x, w, b))
 
 
 def test_grm_forward_contract():
