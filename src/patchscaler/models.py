@@ -377,17 +377,16 @@ def _channels_last(a):
 def _conv3x3_forward(x, w, b):
     # im2col + GEMM in bands of max(1, 4096 // width) output rows, about 4096
     # cells: the fastest band size probed at 512x512, where the whole column
-    # matrix would take ~300 MB.  x is padded once, and each band fills one
-    # reused channels-first (c, 3, 3, rows, width) column buffer with nine
-    # shifted slice copies of whole rows.  The GEMM stays (cells, 9c) @
-    # (9c, f) on a transposed view of that buffer: the reduction runs in
-    # (c, di, dj) order through the BLAS kernels of a plain im2col product,
-    # so banding leaves the bits alone.  The faster (f, 9c) @ (9c, cells)
-    # orientation sends a band's trailing cells through other kernels and
-    # changes bits.  (So does a band of under ~75 cells with c >= 4, where
-    # OpenBLAS picks its small-matrix kernel by operand layout.)  Each band's
-    # (cells, f) result goes, bias added, into the C-contiguous (f, h, w)
-    # output while it is still in cache.
+    # matrix would take ~300 MB.  x is padded once; each band fills one reused
+    # channels-first (c, 3, 3, rows, width) column buffer with nine shifted
+    # slice copies of whole rows.  The GEMM stays (cells, 9c) @ (9c, f), on a
+    # transposed view of the buffer, so the (c, di, dj) reduction runs
+    # through the BLAS kernels of a plain im2col product and banding leaves
+    # the bits alone.  The faster (f, 9c) @ (9c, cells) runs a band's
+    # trailing cells through other kernels and changes bits; so does a band
+    # of under ~75 cells with c >= 4 here, as OpenBLAS picks its small-matrix
+    # kernel by operand layout.  Each band's (cells, f) result goes, bias
+    # added, into the C-contiguous (f, h, w) output while still in cache.
     c, h_, w_ = x.shape
     f = len(w)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))

@@ -256,7 +256,8 @@ def _conv3x3_reference(x, w, b):
 
 # bands of 4096 // width rows: 40 rows for width 100 and 13 for width 300,
 # neither dividing the height; width 48 fits a 48-row input in one band;
-# width 4100 > 4096 gives one-row bands
+# width 4100 > 4096 gives one-row bands; 3 channels at width 150 end in a
+# 300-cell band, which the (f, 9c) @ (9c, cells) GEMM gets wrong in the bits
 @pytest.mark.parametrize("shape", [(1, 97, 100), (16, 50, 300), (1, 48, 48),
                                    (16, 48, 48), (1, 2, 4100), (3, 29, 150)])
 def test_banded_conv_matches_full_im2col(shape):
