@@ -122,8 +122,9 @@ def cmd_gen_data(args):
     gridio.save_grid(out / "hr.psg", scene.hr)
     gridio.save_grid(out / "lr.psg", scene.lr)
     gridio.save_grid(out / "mask.psg", scene.texture_mask[None].astype(np.float32))
-    gridio.export_pnm(out / "hr.pgm" if args.channels == 1 else out / "hr.ppm",
-                      scene.hr)
+    if args.channels in (1, 3):  # PGM and PPM hold one or three channels
+        gridio.export_pnm(out / ("hr.pgm" if args.channels == 1 else "hr.ppm"),
+                          scene.hr)
     print(f"wrote scene {h}x{w} to {out}")
     return 0
 
@@ -168,15 +169,18 @@ def cmd_train_dit(args):
 def cmd_rtm_build(args):
     cfg = _build_config(args)
     src = Path(args.src)
-    grids = [gridio.load_grid(p) for p in sorted(src.glob("*.psg"))]
+    paths = sorted(src.glob("*.psg"))
+    grids = [gridio.load_grid(p) for p in paths]
     if not grids:
         raise ConfigError(f"no .psg grids under {src}")
-    extractor = TextureExtractor((grids[0].shape[0], cfg.patch, cfg.patch),
-                                 seed=cfg.seed)
+    shape = (grids[0].shape[0], cfg.patch, cfg.patch)
+    extractor = TextureExtractor(shape, seed=cfg.seed)
     patches = []
-    for g in grids:
-        ps, _ = decompose(g, cfg.patch, 0)
-        for p in ps:
+    for path, g in zip(paths, grids):
+        if g.shape[0] != shape[0] or min(g.shape[1:]) < cfg.patch:
+            raise DimensionMismatchError(f"{path}: grid {g.shape} does not hold "
+                                         f"{shape} patches")
+        for p in decompose(g, cfg.patch, 0)[0]:
             try:
                 extract_query(extractor, p)
             except DegenerateQueryError:
@@ -207,11 +211,8 @@ def cmd_sr(args):
     lr = gridio.load_grid(args.input)
     grm = _load_grm(cfg, args.grm, channels=lr.shape[0])
     denoiser = _make_denoiser(cfg, args, lr)
-    memory = extractor = None
-    if args.rtm:
-        memory = load_memory(args.rtm)
-        extractor = memory.extractor()
-    sr, report = pipeline.superresolve(cfg, lr, grm, denoiser, memory, extractor)
+    memory = load_memory(args.rtm) if args.rtm else None
+    sr, report = pipeline.superresolve(cfg, lr, grm, denoiser, memory)
     gridio.save_grid(args.output, sr)
     sys.stdout.write(report.to_text())
     return 0

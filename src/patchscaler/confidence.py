@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GridShapeError
 from .tiling import PatchGrid
@@ -76,26 +77,16 @@ def confidence_loss_and_grads(y_hr: np.ndarray, x_hr: np.ndarray,
     return float(loss), d_y, d_c
 
 
-def patch_mean_confidence(c: np.ndarray, anchor: tuple[int, int], V: int) -> float:
-    top, left = anchor
-    _, h, w = c.shape
-    if top < 0 or left < 0 or top + V > h or left + V > w:
-        raise GridShapeError(f"window {anchor}+{V} outside {h}x{w} map")
-    return float(np.mean(c[0, top:top + V, left:left + V]))
-
-
-def quantize(avg: float, th: Thresholds) -> GroupLabel:
-    if not 0.0 <= avg <= 1.0:
-        raise ConfigError(f"mean confidence {avg} outside [0, 1]")
-    if avg > th.gamma1:
-        return GroupLabel.SIMPLE
-    if avg > th.gamma2:
-        return GroupLabel.MEDIUM
-    return GroupLabel.HARD
-
-
 def build_qmap(c: np.ndarray, grid: PatchGrid, th: Thresholds) -> list[GroupLabel]:
+    """Label each patch by the mean confidence of its window: Simple in
+    (gamma1, 1], Medium in (gamma2, gamma1], Hard in [0, gamma2]."""
     if c.shape[1:] != grid.shape[1:]:
         raise GridShapeError(f"confidence map {c.shape} does not match grid {grid.shape}")
-    return [quantize(patch_mean_confidence(c, anchor, grid.V), th)
-            for anchor in grid.coords]
+    tops, lefts = np.array(grid.coords).T
+    means = sliding_window_view(c[0], (grid.V, grid.V))[tops, lefts].mean(axis=(1, 2))
+    if not np.all((means >= 0.0) & (means <= 1.0)):  # a NaN fails too
+        raise ConfigError(f"mean confidence outside [0, 1]: min {means.min()}, "
+                          f"max {means.max()}")
+    return [GroupLabel.SIMPLE if m > th.gamma1 else
+            GroupLabel.MEDIUM if m > th.gamma2 else GroupLabel.HARD
+            for m in means.tolist()]

@@ -59,23 +59,23 @@ def _patch_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
-              prompts=None, seed: int = 0, indices=None) -> list[np.ndarray]:
+              prompts=None, seed: int = 0, indices=None) -> np.ndarray:
     """Truncated-forward initialization then one n-step reverse ladder for
     the whole group.
 
-    The patches are stacked into one (B, c, V, V) batch, so each ladder step
-    is one denoiser call on B patches: exactly n evaluations per patch.
-    Noise is drawn per patch from (seed, patch index), so results are order
-    independent.  A non-finite sample raises NumericError.
+    The patches form one (B, c, V, V) batch, so each ladder step is one
+    denoiser call on B patches: exactly n evaluations per patch, none for
+    an empty group.  Noise is drawn per patch from (seed, patch index), so
+    results are order independent.  A non-finite sample raises NumericError.
     """
+    y0 = np.asarray(patches)
     ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
     if indices is None:
-        indices = list(range(len(patches)))
-    if len(indices) != len(patches) or (prompts is not None and len(prompts) != len(patches)):
+        indices = range(len(y0))
+    if len(indices) != len(y0) or (prompts is not None and len(prompts) != len(y0)):
         raise ConfigError("prompts/indices must align with patches")
-    if not patches:
-        return []
-    y0 = np.stack(patches)
+    if not len(y0):
+        return y0
     eps = np.stack([_patch_rng(seed, idx).standard_normal(y0.shape[1:])
                     for idx in indices]).astype(y0.dtype)
     x = truncated_forward(s, y0, tau, eps)
@@ -84,7 +84,7 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
         x = reverse_step(s, x, x0_hat, t, t_next)
     if not np.isfinite(x).all():
         raise NumericError("sampled patches are not finite")
-    return list(x)
+    return x
 
 
 def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
@@ -94,24 +94,23 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
     taus and steps are (simple, medium, hard) tuples: group g samples from
     intermediate step taus[g] with steps[g] denoiser calls per patch.
     """
+    patches = np.asarray(patches)
     if len(qmap) != len(patches):
         raise ConfigError("qmap must label every patch")
     if prompts is None:
         prompts = [None] * len(patches)
     t0 = time.perf_counter()
-    results: list[np.ndarray | None] = [None] * len(patches)
+    outs, order = [], []
     group_counts, group_nfe = {}, {}
     for label, tau, n in zip(GroupLabel, taus, steps, strict=True):
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
         group_nfe[label] = len(idx) * n
-        if not idx:
-            continue
-        restored = run_group(denoiser, s, [patches[i] for i in idx], tau, n,
-                             prompts=[prompts[i] for i in idx], seed=seed,
-                             indices=idx)
-        for i, r in zip(idx, restored):
-            results[i] = r
+        outs.append(run_group(denoiser, s, patches[idx], tau, n,
+                              prompts=[prompts[i] for i in idx], seed=seed,
+                              indices=idx))
+        order += idx
+    results = np.concatenate(outs)[np.argsort(order)]
     report = PgsReport(
         group_counts=group_counts,
         group_nfe=group_nfe,

@@ -202,7 +202,8 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
 
     Stages: upsample -> coarse restore -> quantified map -> per-patch
     retrieval -> grouped sampling -> recompose -> wavelet color
-    normalization.
+    normalization.  A memory given without an extractor is queried with
+    the one it was built with, memory.extractor().
     """
     schedule = cfg.schedule()
     with _stage("upsample"):
@@ -224,7 +225,7 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     if memory is not None:
         with _stage("retrieve"):
             if extractor is None:
-                raise ConfigError("memory given without extractor")
+                extractor = memory.extractor()
             prompts = []
             for p in patches:
                 try:

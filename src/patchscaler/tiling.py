@@ -22,7 +22,6 @@ class PatchGrid:
     """Anchor layout of overlapping V x V windows over a (c, h, w) grid."""
 
     V: int
-    overlap: int
     coords: tuple[tuple[int, int], ...]
     shape: tuple[int, int, int]
 
@@ -44,31 +43,23 @@ def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarra
               for top in _anchors(h, V, overlap)
               for left in _anchors(w, V, overlap)]
     patches = [feature[:, top:top + V, left:left + V].copy() for top, left in coords]
-    grid = PatchGrid(V=V, overlap=overlap, coords=tuple(coords), shape=(c, h, w))
+    grid = PatchGrid(V=V, coords=tuple(coords), shape=(c, h, w))
     return patches, grid
 
 
-def blend_weights(grid: PatchGrid) -> np.ndarray:
-    """Per-cell recomposition weights: 1 / coverage count, shape (h, w)."""
-    _, h, w = grid.shape
+def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Uniform-average blend of a (N, c, V, V) patch stack onto the source grid."""
+    patches = np.asarray(patches)
+    c, h, w = grid.shape
+    V = grid.V
+    if patches.shape != (grid.count, c, V, V):
+        raise GridShapeError(f"expected patches {(grid.count, c, V, V)}, got {patches.shape}")
+    acc = np.zeros((c, h, w), dtype=np.float64)
     cover = np.zeros((h, w), dtype=np.float64)
-    for top, left in grid.coords:
-        cover[top:top + grid.V, left:left + grid.V] += 1.0
+    for (top, left), p in zip(grid.coords, patches):
+        acc[:, top:top + V, left:left + V] += p
+        cover[top:top + V, left:left + V] += 1.0
     if np.any(cover == 0):
         raise GridShapeError("patch grid does not cover the source grid")
-    return 1.0 / cover
-
-
-def recompose(patches: list[np.ndarray], grid: PatchGrid) -> np.ndarray:
-    """Uniform-average blend of patches back onto the source grid."""
-    if len(patches) != grid.count:
-        raise GridShapeError(f"expected {grid.count} patches, got {len(patches)}")
-    c, h, w = grid.shape
-    acc = np.zeros((c, h, w), dtype=np.float64)
-    for (top, left), p in zip(grid.coords, patches):
-        if p.shape != (c, grid.V, grid.V):
-            raise GridShapeError(f"patch shape {p.shape} != {(c, grid.V, grid.V)}")
-        acc[:, top:top + grid.V, left:left + grid.V] += p
-    out = acc * blend_weights(grid)[None, :, :]
-    return out.astype(patches[0].dtype, copy=False)
-
+    out = acc * (1.0 / cover)[None, :, :]
+    return out.astype(patches.dtype, copy=False)

@@ -1,24 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from patchscaler.checkpoint import load_params, restore_into
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 GlobalRestorer, PatchDiT,
-                                make_dit_gaussian_objective,
-                                make_grm_objective, train_toy)
+                                make_dit_gaussian_objective, train_toy)
 from patchscaler.pgs import CountingDenoiser
-from patchscaler.pipeline import (PipelineConfig, make_scene,
-                                  nearest_upsample, superresolve)
+from patchscaler.pipeline import PipelineConfig, make_scene, superresolve
 from patchscaler.schedule import build_linear_schedule
+
+GRM_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "grm.psck"
 
 
 @pytest.fixture(scope="session")
 def schedule1000():
     return build_linear_schedule(1000)
-
-
-def _grm_pair_sampler(rng):
-    sc = make_scene(48, 48, seed=int(rng.integers(1 << 31)), patch=16, factor=2)
-    return nearest_upsample(sc.lr, 2), sc.hr
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +28,10 @@ def dit_f32_tol():
 
 @pytest.fixture(scope="session")
 def trained_grm():
+    """The benchmark's GRM: GlobalRestorer(1, 16, seed 0) after 2000 Adam
+    steps on 48x48 scene pairs (perfbench/make_grm_ckpt.py rebuilds it)."""
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
-    train_toy(grm.params, make_grm_objective(grm, _grm_pair_sampler),
-              steps=2000, lr=3e-3, seed=0)
+    restore_into(grm, load_params(GRM_CKPT))
     return grm
 
 

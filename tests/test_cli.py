@@ -30,6 +30,17 @@ def test_gen_data_writes_scene(tmp_path, capsys):
     assert "wrote scene 64x64" in capsys.readouterr().out
 
 
+def test_gen_data_two_channels_writes_grids_without_preview(tmp_path, capsys):
+    # PGM/PPM hold one or three channels; other counts get the grids only
+    out = tmp_path / "scene"
+    assert cli.main(["gen-data", "--out", str(out), "--size", "32x32",
+                     "--channels", "2", "--seed", "1"]) == 0
+    assert load_grid(out / "hr.psg").shape == (2, 32, 32)
+    assert load_grid(out / "lr.psg").shape == (2, 16, 16)
+    assert load_grid(out / "mask.psg").shape == (1, 32, 32)
+    assert sorted(f.name for f in out.iterdir()) == ["hr.psg", "lr.psg", "mask.psg"]
+
+
 def test_train_grm_and_sr_roundtrip(tmp_path, capsys):
     scene_dir = tmp_path / "scene"
     assert cli.main(["gen-data", "--out", str(scene_dir), "--size", "32x32",
@@ -122,6 +133,23 @@ def test_rtm_build_and_query(tmp_path, capsys):
     assert len(lines) == 3
     sims = [float(line.split()[1]) for line in lines]
     assert sims == sorted(sims, reverse=True)
+
+
+@pytest.mark.parametrize("odd_shape", [(3, 32, 32), (1, 32, 12)])
+def test_rtm_build_rejects_an_unfit_grid(tmp_path, capsys, odd_shape):
+    # another channel count than the first grid, or a side below the patch
+    # size, exits 3 and names the file
+    src = tmp_path / "grids"
+    src.mkdir()
+    rng = np.random.Generator(np.random.PCG64(4))
+    save_grid(src / "a.psg", rng.standard_normal((1, 32, 32)).astype(np.float32))
+    save_grid(src / "b.psg", rng.standard_normal(odd_shape).astype(np.float32))
+    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(tmp_path / "m.rtm"),
+                   "--size", "2", "--patch-size", "16"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and "b.psg" in err
+    assert not (tmp_path / "m.rtm").exists()
 
 
 def test_rtm_query_uses_the_extractor_in_the_file(tmp_path, capsys):

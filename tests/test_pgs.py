@@ -199,11 +199,19 @@ def test_run_pgs_matches_per_group_runs(schedule1000):
 def test_run_pgs_empty_groups(schedule1000):
     rng = np.random.Generator(np.random.PCG64(8))
     patches = _patches(rng, 3)
-    results, report = run_pgs(_oracle(schedule1000), schedule1000, patches,
+    oracle, batches = _oracle(schedule1000), []
+
+    def denoiser(x_t, t, prompts=None):
+        batches.append(len(x_t))
+        return oracle(x_t, t, prompts)
+
+    results, report = run_pgs(denoiser, schedule1000, patches,
                               [S, S, S], TAUS, STEPS)
     assert report.group_counts == {S: 3, M: 0, H: 0}
     assert report.total_nfe == 24
-    assert all(r is not None for r in results)
+    # the empty Medium and Hard groups cost no denoiser call
+    assert batches == [3] * 8
+    assert results.shape == (3, 1, 4, 4) and np.isfinite(results).all()
     with pytest.raises(ConfigError):
         run_pgs(_oracle(schedule1000), schedule1000, patches, [S, S], TAUS, STEPS)
 

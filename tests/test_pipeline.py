@@ -14,6 +14,8 @@ from patchscaler.pipeline import (PipelineConfig, benchmark, format_benchmark,
                                   make_scene, nearest_upsample,
                                   parse_config_file, superresolve,
                                   synth_degrade)
+from patchscaler.rtm import TextureExtractor, build_memory
+from patchscaler.tiling import decompose
 
 
 class FlatGrm:
@@ -154,11 +156,23 @@ def test_superresolve_stage_errors():
         superresolve(cfg, scene.lr, BrokenGrm(), _oracle(cfg, scene))
     assert exc.value.stage == "grm"
 
-    with pytest.raises(StageError) as exc:
-        superresolve(cfg, scene.lr, FlatGrm(), _oracle(cfg, scene),
-                     memory=object(), extractor=None)
-    assert exc.value.stage == "retrieve"
-    assert isinstance(exc.value.cause, ConfigError)
+    # a memory without an extractor is queried through the one it was built
+    # with (seed 4 here, not the run's seed 1)
+    source, _ = decompose(scene.hr, cfg.patch, 0)
+    memory = build_memory(source, TextureExtractor(source[0].shape, seed=4), cfg.topk)
+    runs = []
+    for extractor in (None, memory.extractor()):
+        oracle, prompted = _oracle(cfg, scene), []
+
+        def denoiser(x_t, t, prompts=None):
+            prompted.append([None if p is None else p.indices.tolist() for p in prompts])
+            return oracle(x_t, t, prompts)
+
+        sr, _ = superresolve(cfg, scene.lr, FlatGrm(), denoiser, memory, extractor)
+        runs.append((sr, prompted))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+    assert any(p is not None for call in runs[0][1] for p in call)
 
 
 def test_non_finite_output_fails_at_its_stage(monkeypatch):

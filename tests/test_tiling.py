@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchscaler.errors import ConfigError, GridShapeError
-from patchscaler.tiling import blend_weights, decompose, recompose
+from patchscaler.tiling import PatchGrid, decompose, recompose
 
 
 def test_decompose_no_overlap():
@@ -59,12 +59,12 @@ def test_blend_of_constant_patches():
 
 
 def test_partition_of_unity_weights():
+    # each cell's weights 1 / coverage sum to one: constant patches blend
+    # back to the same constant
     _, grid = decompose(np.zeros((1, 20, 20), np.float32), 8, 3)
-    w = blend_weights(grid)
-    cover = np.zeros((20, 20))
-    for top, left in grid.coords:
-        cover[top:top + 8, left:left + 8] += w[top:top + 8, left:left + 8]
-    assert np.max(np.abs(cover - 1.0)) <= 1e-6
+    out = recompose(np.ones((grid.count, 1, 8, 8)), grid)
+    assert out.shape == (1, 20, 20)
+    assert np.max(np.abs(out - 1.0)) <= 1e-12
 
 
 def test_random_shapes_roundtrip():
@@ -86,3 +86,9 @@ def test_recompose_count_mismatch():
     bad = [np.zeros((1, 3, 3), np.float32)] * grid.count
     with pytest.raises(GridShapeError):
         recompose(bad, grid)
+
+
+def test_recompose_rejects_uncovered_cells():
+    grid = PatchGrid(V=4, coords=((0, 0),), shape=(1, 8, 8))
+    with pytest.raises(GridShapeError, match="does not cover"):
+        recompose(np.ones((1, 1, 4, 4)), grid)
