@@ -29,38 +29,32 @@ def save_params(path, params: dict):
             f.write(arr.tobytes())
 
 
+def _read(f, n: int, what: str) -> bytes:
+    """Exactly n bytes from f; fewer means the file ends inside `what`."""
+    raw = f.read(n)
+    if len(raw) < n:
+        raise TruncatedFileError(f"{what} truncated")
+    return raw
+
+
 def load_params(path) -> dict:
     """Read a checkpoint back as float64 arrays (float32-valued)."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise MagicMismatchError(f"not a {_MAGIC.decode()} checkpoint")
-        head = f.read(8)
-        if len(head) < 8:
-            raise TruncatedFileError("checkpoint header truncated")
-        version, count = struct.unpack("<II", head)
+        version, count = struct.unpack("<II", _read(f, 8, "checkpoint header"))
         if version != _VERSION:
             raise DimensionMismatchError(f"unsupported checkpoint version {version}")
         params = {}
         for _ in range(count):
-            raw = f.read(2)
-            if len(raw) < 2:
-                raise TruncatedFileError("section header truncated")
-            (name_len,) = struct.unpack("<H", raw)
-            raw = f.read(name_len)
-            if len(raw) < name_len:
-                raise TruncatedFileError("section name truncated")
+            (name_len,) = struct.unpack("<H", _read(f, 2, "section header"))
+            raw = _read(f, name_len, "section name")
             try:
                 name = raw.decode()
             except UnicodeDecodeError as e:
                 raise DimensionMismatchError(f"section name {raw[:32]!r} is not UTF-8") from e
-            raw = f.read(1)
-            if not raw:
-                raise TruncatedFileError("section rank truncated")
-            (ndim,) = struct.unpack("<B", raw)
-            raw = f.read(4 * ndim)
-            if len(raw) < 4 * ndim:
-                raise TruncatedFileError("section shape truncated")
-            shape = struct.unpack(f"<{ndim}I", raw)
+            (ndim,) = struct.unpack("<B", _read(f, 1, "section rank"))
+            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, "section shape"))
             # a Python int, so a huge declared shape cannot overflow
             nbytes = 4 * math.prod(shape)
             if os.fstat(f.fileno()).st_size - f.tell() < nbytes:

@@ -19,34 +19,26 @@ from .rtm import (TextureExtractor, build_memory, extract_query, load_memory,
 from .tiling import decompose
 
 
+# shared flag -> the PipelineConfig field it sets; pipeline.coerce_field parses
+# the text, as it does a config file's, so each field's type is declared once
+_SHARED_FLAGS = {"--seed": "seed", "--gamma1": "gamma1", "--gamma2": "gamma2",
+                 "--tau": "taus", "--steps": "steps", "--patch-size": "patch",
+                 "--overlap": "overlap", "--topk": "topk"}
+
+
 def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, help="key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--tau", help="simple,medium,hard intermediate steps")
-    p.add_argument("--steps", help="simple,medium,hard sampling step counts")
-    p.add_argument("--patch-size", type=int, dest="patch")
-    p.add_argument("--overlap", type=int)
-    p.add_argument("--topk", type=int)
+    for flag, key in _SHARED_FLAGS.items():
+        p.add_argument(flag, dest=key, help=f"config field '{key}'")
 
 
 def _build_config(args) -> PipelineConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(pipeline.parse_config_file(args.config))
-    for key in ("seed", "gamma1", "gamma2", "patch", "overlap", "topk"):
-        val = getattr(args, key, None)
+    fields = pipeline.parse_config_file(args.config) if args.config else {}
+    for key in _SHARED_FLAGS.values():
+        val = getattr(args, key)
         if val is not None:
-            overrides[key] = val
-    for flag, key in (("tau", "taus"), ("steps", "steps")):
-        val = getattr(args, flag, None)
-        if val:
-            overrides[key] = pipeline.coerce_field(key, val)
-    try:
-        return PipelineConfig(**overrides)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+            fields[key] = pipeline.coerce_field(key, val)
+    return PipelineConfig(**fields)
 
 
 def _positive_int(text: str) -> int:
@@ -90,14 +82,13 @@ def _load_grm(cfg: PipelineConfig, path, channels=1) -> GlobalRestorer:
     return grm
 
 
-def _make_denoiser(cfg: PipelineConfig, args, reference: np.ndarray):
-    if args.denoiser == "oracle":
+def _make_denoiser(cfg: PipelineConfig, dit_path, reference: np.ndarray):
+    """The PatchDiT in dit_path, or without one the Gaussian oracle."""
+    if not dit_path:
         stats = GaussianOracleStats(mean=float(reference.mean()),
                                     var=max(float(reference.var()), 1e-6))
         return GaussianOracleDenoiser(stats, cfg.schedule())
-    if not args.dit:
-        return PatchDiT(channels=reference.shape[0], patch=cfg.patch, seed=cfg.seed)
-    loaded = checkpoint.load_params(args.dit)
+    loaded = checkpoint.load_params(dit_path)
     # embed.w is (channels, width) and each block has one b<i>.sa.wq; size
     # the model to the checkpoint, restore_into then checks the patch size
     width = _section_shape(loaded, "embed.w", 2)[1]
@@ -200,7 +191,10 @@ def cmd_rtm_query(args):
     if patch.shape != mem.values.shape[1:]:
         raise DimensionMismatchError(f"patch {patch.shape} != memory patches "
                                      f"{mem.values.shape[1:]}")
-    res = retrieve_topk(mem, patch, mem.extractor(), cfg.topk)
+    try:
+        res = retrieve_topk(mem, patch, mem.extractor(), cfg.topk)
+    except DegenerateQueryError as e:
+        raise FormatError(f"{args.patch_file}: featureless patch, {e}") from e
     for idx, sim in zip(res.indices, res.similarities):
         print(f"{idx} {sim:.6f}")
     return 0
@@ -210,7 +204,7 @@ def cmd_sr(args):
     cfg = _build_config(args)
     lr = gridio.load_grid(args.input)
     grm = _load_grm(cfg, args.grm, channels=lr.shape[0])
-    denoiser = _make_denoiser(cfg, args, lr)
+    denoiser = _make_denoiser(cfg, args.dit, lr)
     memory = load_memory(args.rtm) if args.rtm else None
     sr, report = pipeline.superresolve(cfg, lr, grm, denoiser, memory)
     gridio.save_grid(args.output, sr)
@@ -225,7 +219,7 @@ def cmd_bench(args):
                        patch=cfg.patch, texture_frac=args.texture_frac,
                        factor=cfg.factor)
     grm = _load_grm(cfg, args.grm, channels=args.channels)
-    denoiser = _make_denoiser(cfg, args, scene.hr)
+    denoiser = _make_denoiser(cfg, args.dit, scene.hr)
     result = pipeline.benchmark(cfg, scene, grm, denoiser, repeats=args.repeats)
     sys.stdout.write(pipeline.format_benchmark(result))
     return 0
@@ -282,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--grm", help="GRM checkpoint")
-    p.add_argument("--denoiser", choices=("oracle", "dit"), default="oracle")
-    p.add_argument("--dit", help="Patch-DiT checkpoint")
+    p.add_argument("--dit", help="Patch-DiT checkpoint; without it the oracle denoises")
     p.add_argument("--rtm", help="texture memory file")
     p.set_defaults(func=cmd_sr)
 
@@ -294,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--texture-frac", type=float, default=0.5)
     p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("--grm", help="GRM checkpoint")
-    p.add_argument("--denoiser", choices=("oracle", "dit"), default="oracle")
-    p.add_argument("--dit", help="Patch-DiT checkpoint")
+    p.add_argument("--dit", help="Patch-DiT checkpoint; without it the oracle denoises")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -5,28 +5,11 @@ upsampled low-resolution input while keeping the generated detail bands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, GridShapeError
 
 _S = np.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class WaveletPyramid:
-    """Per-level (lh, hl, hh) detail bands plus the final low band.
-
-    details[0] is the finest level; each array has shape (c, h/2^k, w/2^k).
-    """
-
-    low: np.ndarray
-    details: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
 
 def _haar_split(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -55,7 +38,10 @@ def _haar_merge(ll, lh, hl, hh) -> np.ndarray:
     return out
 
 
-def haar_forward(img: np.ndarray, levels: int) -> WaveletPyramid:
+def haar_forward(img: np.ndarray, levels: int):
+    """(low, details): the level-`levels` low band and the per-level
+    (lh, hl, hh) detail bands, finest first; level k bands are (c, h/2^k, w/2^k).
+    """
     if img.ndim != 3:
         raise GridShapeError("expected a (c, h, w) grid")
     if levels < 1:
@@ -68,12 +54,11 @@ def haar_forward(img: np.ndarray, levels: int) -> WaveletPyramid:
     for _ in range(levels):
         low, lh, hl, hh = _haar_split(low)
         details.append((lh, hl, hh))
-    return WaveletPyramid(low=low, details=tuple(details))
+    return low, tuple(details)
 
 
-def haar_inverse(p: WaveletPyramid) -> np.ndarray:
-    low = p.low
-    for lh, hl, hh in reversed(p.details):
+def haar_inverse(low: np.ndarray, details) -> np.ndarray:
+    for lh, hl, hh in reversed(details):
         low = _haar_merge(low, lh, hl, hh)
     return low
 
@@ -83,7 +68,6 @@ def wavelet_color_normalize(sr: np.ndarray, lr_up: np.ndarray,
     """Swap sr's level-L low band for lr_up's; keep sr's detail bands."""
     if sr.shape != lr_up.shape:
         raise GridShapeError(f"shape mismatch: {sr.shape} vs {lr_up.shape}")
-    p_sr = haar_forward(sr, levels)
-    p_lr = haar_forward(lr_up, levels)
-    swapped = WaveletPyramid(low=p_lr.low, details=p_sr.details)
-    return haar_inverse(swapped).astype(sr.dtype, copy=False)
+    _, details = haar_forward(sr, levels)
+    low, _ = haar_forward(lr_up, levels)
+    return haar_inverse(low, details).astype(sr.dtype, copy=False)

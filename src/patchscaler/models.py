@@ -339,16 +339,8 @@ class GaussianOracleStats:
             raise ConfigError("prior variance must be positive")
 
 
-def denoise_gaussian_oracle(stats: GaussianOracleStats, s: NoiseSchedule,
-                            x_t: np.ndarray, t: int) -> np.ndarray:
-    """Exact posterior mean E[x0 | x_t] under Gaussian data and corruption."""
-    ab = s.alpha_bar(t)
-    denom = ab * stats.var + 1.0 - ab
-    return (np.sqrt(ab) * stats.var * x_t + (1.0 - ab) * stats.mean) / denom
-
-
 class GaussianOracleDenoiser:
-    """Denoiser-interface wrapper around the closed-form posterior mean."""
+    """Exact posterior mean E[x0 | x_t] under Gaussian data and corruption."""
 
     def __init__(self, stats: GaussianOracleStats, schedule: NoiseSchedule):
         self.stats = stats
@@ -356,7 +348,9 @@ class GaussianOracleDenoiser:
 
     def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
         # elementwise, so a (B, c, V, V) batch needs no loop; no prompts used
-        return denoise_gaussian_oracle(self.stats, self.schedule, x_t, t)
+        stats, ab = self.stats, self.schedule.alpha_bar(t)
+        denom = ab * stats.var + 1.0 - ab
+        return (np.sqrt(ab) * stats.var * x_t + (1.0 - ab) * stats.mean) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     eps = np.stack([_patch_rng(seed, idx).standard_normal(y0.shape[1:])
                     for idx in indices]).astype(y0.dtype)
     x = truncated_forward(s, y0, tau, eps)
-    for t, t_next in zip(ladder.steps, ladder.steps[1:]):
+    for t, t_next in zip(ladder, ladder[1:]):
         x0_hat = denoiser(x, t, prompts)
         x = reverse_step(s, x, x0_hat, t, t_next)
     if not np.isfinite(x).all():

@@ -151,6 +151,9 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
     """
     if height % patch or width % patch:
         raise ConfigError("scene dims must be multiples of the patch size")
+    if height % factor or width % factor:
+        raise ConfigError(f"scene dims {height}x{width} must be multiples of "
+                          f"the factor {factor}")
     rng = np.random.Generator(np.random.PCG64(seed))
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     base = np.zeros((height, width))
@@ -173,8 +176,6 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
 # inference
 
 def nearest_upsample(img: np.ndarray, f: int) -> np.ndarray:
-    if f == 1:
-        return img.copy()
     return np.repeat(np.repeat(img, f, axis=1), f, axis=2)
 
 

@@ -7,7 +7,7 @@ reverse update over a sub-sampled step ladder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,39 +94,19 @@ def truncated_forward(s: NoiseSchedule, y0: np.ndarray, tau: int,
     return forward_sample(s, y0, tau, eps)
 
 
-@dataclass(frozen=True)
-class SubstepLadder:
-    """Strictly decreasing step sequence from tau to 0 with N transitions."""
+def make_substeps(tau: int, N: int) -> tuple[int, ...]:
+    """Uniformly spaced, strictly decreasing steps from tau down to 0: N
+    transitions, N + 1 steps.
 
-    steps: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        st = self.steps
-        if len(st) < 2 or st[-1] != 0:
-            raise ConfigError("ladder must end at 0 with at least one transition")
-        if any(a <= b for a, b in zip(st, st[1:])):
-            raise ConfigError("ladder must be strictly decreasing")
-
-    @property
-    def transitions(self) -> int:
-        return len(self.steps) - 1
-
-
-def make_substeps(tau: int, N: int) -> SubstepLadder:
-    """Uniformly spaced ladder of N transitions from tau down to 0.
-
-    Rounding duplicates are collapsed by decrementing; feasible whenever
-    N <= tau.
+    Consecutive steps differ by tau/N >= 1 before rounding, and by exactly 1
+    only when tau == N, where every step is an exact integer, so rounding
+    never makes two steps equal.
     """
     if N < 1:
         raise ConfigError("N must be >= 1")
     if N > tau:
         raise ConfigError(f"N={N} exceeds tau={tau}")
-    steps = [int(round(tau * (N - i) / N)) for i in range(N + 1)]
-    for i in range(1, N + 1):
-        if steps[i] >= steps[i - 1]:
-            steps[i] = steps[i - 1] - 1
-    return SubstepLadder(steps=tuple(steps))
+    return tuple(int(round(tau * (N - i) / N)) for i in range(N + 1))
 
 
 def reverse_step(s: NoiseSchedule, x_t: np.ndarray, x0_hat: np.ndarray,

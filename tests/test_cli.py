@@ -54,13 +54,21 @@ def test_train_grm_and_sr_roundtrip(tmp_path, capsys):
 
     out = tmp_path / "sr.psg"
     rc = cli.main(["sr", "--input", str(scene_dir / "lr.psg"),
-                   "--output", str(out), "--grm", str(ckpt),
-                   "--denoiser", "oracle", "--seed", "0"])
+                   "--output", str(out), "--grm", str(ckpt), "--seed", "0"])
     assert rc == 0
     sr = load_grid(out)
     assert sr.shape == (1, 32, 32)
     text = capsys.readouterr().out
     assert "nfe_total" in text and "ratio" in text
+
+
+def test_train_dit_divergence_exits_4(tmp_path, capsys):
+    ckpt = tmp_path / "dit.psck"
+    rc = cli.main(["train-dit", "--out", str(ckpt), "--lr", "nan", "--train-steps", "2",
+                   "--width", "8", "--depth", "1", "--batch", "2", "--seed", "0"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("numeric failure")
+    assert not ckpt.exists()
 
 
 def test_train_dit_small(tmp_path, capsys):
@@ -90,7 +98,7 @@ def test_dit_and_rtm_workflow(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "sr.psg"
     rc = cli.main(["sr", "--input", str(scene / "lr.psg"), "--output", str(out),
-                   "--denoiser", "dit", "--dit", str(dit), "--rtm", str(mem),
+                   "--dit", str(dit), "--rtm", str(mem),
                    "--steps", "2,3,4", *geometry])
     assert rc == 0
     assert load_grid(out).shape == (1, 32, 32)
@@ -152,6 +160,20 @@ def test_rtm_build_rejects_an_unfit_grid(tmp_path, capsys, odd_shape):
     assert not (tmp_path / "m.rtm").exists()
 
 
+def test_rtm_query_featureless_patch_exits_3(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-data", "--out", str(scene), "--size", "32x32"]) == 0
+    mem = tmp_path / "m.rtm"
+    assert cli.main(["rtm", "build", "--src", str(scene), "--out", str(mem),
+                     "--size", "4"]) == 0
+    zeros = tmp_path / "zeros.psg"
+    save_grid(zeros, np.zeros((1, 16, 16), np.float32))
+    capsys.readouterr()
+    assert cli.main(["rtm", "query", "--mem", str(mem), "--patch", str(zeros)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and "zeros.psg" in err
+
+
 def test_rtm_query_uses_the_extractor_in_the_file(tmp_path, capsys):
     # --seed does not reach the feature map: the memory names its own, so a
     # query under another seed finds the same neighbours
@@ -204,6 +226,12 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error")
     # invalid group schedule surfaces as a config failure too
     assert cli.main(["bench", "--size", "32x32", "--steps", "30,14,20"]) == 2
+    # so does a factor that does not divide the scene size
+    cfg.write_text("factor 3\n")
+    for argv in (["bench"], ["gen-data", "--out", str(tmp_path / "scene")]):
+        assert cli.main([*argv, "--size", "32x32", "--config", str(cfg)]) == 2
+        assert "factor 3" in capsys.readouterr().err
+    assert not (tmp_path / "scene").exists()
 
 
 @pytest.mark.parametrize("flags", [["--steps", "8,14"], ["--tau", "a,b,c"],
@@ -297,7 +325,7 @@ def test_non_finite_dit_output_is_numeric_error_at_pgs(tmp_path, capsys):
     lr = tmp_path / "lr.psg"
     save_grid(lr, np.random.default_rng(0).standard_normal((1, 8, 8)).astype(np.float32))
     out = tmp_path / "out.psg"
-    rc = cli.main(["sr", "--input", str(lr), "--output", str(out), "--denoiser", "dit",
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out),
                    "--dit", str(ckpt), "--patch-size", "8", "--overlap", "2",
                    "--steps", "2,3,4"])
     assert rc == 4

@@ -9,8 +9,7 @@ from patchscaler.errors import (ConfigError, DimensionMismatchError,
                                 NumericError, TruncatedFileError)
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 GlobalRestorer, PatchDiT, _attn_forward,
-                                _conv3x3_forward, denoise_gaussian_oracle,
-                                make_dit_gaussian_objective,
+                                _conv3x3_forward, make_dit_gaussian_objective,
                                 make_grm_objective, time_embed, train_toy)
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import build_linear_schedule, forward_sample
@@ -302,11 +301,11 @@ def test_gaussian_oracle_limits():
     # unit prior variance collapses the posterior mean to sqrt(abar) * x_t
     for t in (1, 300, 1000):
         ab = s.alpha_bar(t)
-        assert np.allclose(denoise_gaussian_oracle(stats, s, x, t),
+        assert np.allclose(GaussianOracleDenoiser(stats, s)(x, t),
                            np.sqrt(ab) * x)
     # tiny prior variance: estimate pinned near the prior mean at high noise
     tight = GaussianOracleStats(mean=0.7, var=1e-8)
-    out = denoise_gaussian_oracle(tight, s, x, 1000)
+    out = GaussianOracleDenoiser(tight, s)(x, 1000)
     assert np.allclose(out, 0.7, atol=1e-3)
     with pytest.raises(ConfigError):
         GaussianOracleStats(var=0.0)
@@ -320,7 +319,7 @@ def test_gaussian_oracle_is_conditional_mean():
     n, t = 100_000, 400
     x0 = stats.mean + np.sqrt(stats.var) * rng.standard_normal(n)
     x_t = forward_sample(s, x0, t, rng.standard_normal(n))
-    pred = denoise_gaussian_oracle(stats, s, x_t, t)
+    pred = GaussianOracleDenoiser(stats, s)(x_t, t)
     resid = x0 - pred
     # conditional mean leaves residuals uncorrelated with x_t
     assert abs(np.mean(resid)) <= 3.0 / np.sqrt(n) * np.sqrt(stats.var)

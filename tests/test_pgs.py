@@ -83,7 +83,7 @@ def _serial_run_group(denoise_one, s, patches, tau, n, prompts, seed, indices):
     for y0, prompt, idx in zip(patches, prompts, indices):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx])))
         x = truncated_forward(s, y0, tau, rng.standard_normal(y0.shape).astype(y0.dtype))
-        for t, t_next in zip(ladder.steps, ladder.steps[1:]):
+        for t, t_next in zip(ladder, ladder[1:]):
             x = reverse_step(s, x, denoise_one(x, t, prompt), t, t_next)
         out.append(x)
     return out

@@ -9,7 +9,8 @@ from patchscaler.errors import (ConfigError, GridShapeError,
                                 MagicMismatchError, NumericError, StageError,
                                 TruncatedFileError)
 from patchscaler.gridio import export_pnm, load_grid, save_grid
-from patchscaler.models import GaussianOracleDenoiser, GaussianOracleStats
+from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
+                                GlobalRestorer, PatchDiT)
 from patchscaler.pipeline import (PipelineConfig, benchmark, format_benchmark,
                                   make_scene, nearest_upsample,
                                   parse_config_file, superresolve,
@@ -55,6 +56,9 @@ def test_nearest_upsample_examples():
     up = nearest_upsample(img, 2)
     assert up.shape == (1, 4, 4)
     assert np.array_equal(up[0, :2, :2], np.full((2, 2), 1.0))
+    # factor 1 is a copy, never a view of the input
+    same = nearest_upsample(img, 1)
+    assert np.array_equal(same, img) and not np.shares_memory(same, img)
 
 
 def test_config_validation_and_builders():
@@ -109,6 +113,10 @@ def test_make_scene_contract():
     assert scene.hr[0, scene.texture_mask].var() > 10 * scene.hr[0, ~scene.texture_mask].var()
     with pytest.raises(ConfigError):
         make_scene(60, 64, patch=16)
+    # a factor that does not divide the sides is a config error, not a
+    # GridShapeError from the degradation
+    with pytest.raises(ConfigError):
+        make_scene(32, 32, patch=16, factor=3)
 
 
 def test_superresolve_deterministic():
@@ -173,6 +181,29 @@ def test_superresolve_stage_errors():
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
     assert any(p is not None for call in runs[0][1] for p in call)
+
+
+def test_featureless_patches_fall_back_to_no_prompt():
+    # the untrained GRM restores an all-zero grid to exactly zero, so every
+    # patch is featureless: each gets a None prompt, and the run with a
+    # memory gives the bits of the run without one
+    cfg = PipelineConfig(patch=8, overlap=2, steps=(2, 3, 4), seed=0)
+    lr = np.zeros((1, 8, 8), np.float32)
+    grm = GlobalRestorer(1, seed=0)
+    dit = PatchDiT(channels=1, patch=8, width=8, depth=1, seed=0)
+    rng = np.random.Generator(np.random.PCG64(8))
+    source = list(rng.standard_normal((6, 1, 8, 8)).astype(np.float32))
+    memory = build_memory(source, TextureExtractor((1, 8, 8), seed=0), 4)
+    prompted = []
+
+    def denoiser(x_t, t, prompts=None):
+        prompted.extend(prompts)
+        return dit(x_t, t, prompts)
+
+    with_memory, _ = superresolve(cfg, lr, grm, denoiser, memory)
+    assert prompted and all(p is None for p in prompted)
+    without, _ = superresolve(cfg, lr, grm, dit)
+    assert np.array_equal(with_memory, without)
 
 
 def test_non_finite_output_fails_at_its_stage(monkeypatch):

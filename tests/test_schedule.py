@@ -126,9 +126,9 @@ def test_truncated_forward_cases():
 
 
 def test_make_substeps_examples():
-    assert make_substeps(1000, 20).steps == tuple(range(1000, -1, -50))
-    assert make_substeps(400, 8).steps == (400, 350, 300, 250, 200, 150, 100, 50, 0)
-    assert make_substeps(3, 3).steps == (3, 2, 1, 0)
+    assert make_substeps(1000, 20) == tuple(range(1000, -1, -50))
+    assert make_substeps(400, 8) == (400, 350, 300, 250, 200, 150, 100, 50, 0)
+    assert make_substeps(3, 3) == (3, 2, 1, 0)
     with pytest.raises(ConfigError):
         make_substeps(5, 6)
 
@@ -138,9 +138,9 @@ def test_make_substeps_examples():
 def test_make_substeps_strictly_decreasing(tau, data):
     n = data.draw(st.integers(1, tau))
     ladder = make_substeps(tau, n)
-    assert ladder.steps[0] == tau and ladder.steps[-1] == 0
-    assert ladder.transitions == n
-    assert all(a > b for a, b in zip(ladder.steps, ladder.steps[1:]))
+    assert ladder[0] == tau and ladder[-1] == 0
+    assert len(ladder) == n + 1
+    assert all(a > b for a, b in zip(ladder, ladder[1:]))
 
 
 def test_reverse_step_perfect_prediction_consistency():
@@ -171,6 +171,6 @@ def test_full_ladder_descent_with_perfect_prediction():
     e = rng.standard_normal((1, 4, 4))
     ladder = make_substeps(1000, 20)
     x = forward_sample(s, x0, 1000, e)
-    for t, t_next in zip(ladder.steps, ladder.steps[1:]):
+    for t, t_next in zip(ladder, ladder[1:]):
         x = reverse_step(s, x, x0, t, t_next)
     assert np.max(np.abs(x - x0)) <= 1e-5
