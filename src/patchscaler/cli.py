@@ -159,15 +159,11 @@ def cmd_train_dit(args):
 
 def cmd_rtm_build(args):
     cfg = _build_config(args)
-    src = Path(args.src)
-    paths = sorted(src.glob("*.psg"))
-    grids = [gridio.load_grid(p) for p in paths]
-    if not grids:
-        raise ConfigError(f"no .psg grids under {src}")
+    grids = [gridio.load_grid(p) for p in args.src]
     shape = (grids[0].shape[0], cfg.patch, cfg.patch)
     extractor = TextureExtractor(shape, seed=cfg.seed)
     patches = []
-    for path, g in zip(paths, grids):
+    for path, g in zip(args.src, grids):
         if g.shape[0] != shape[0] or min(g.shape[1:]) < cfg.patch:
             raise DimensionMismatchError(f"{path}: grid {g.shape} does not hold "
                                          f"{shape} patches")
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     rtm_sub = p.add_subparsers(dest="rtm_command", required=True)
     q = rtm_sub.add_parser("build")
     _add_shared(q)
-    q.add_argument("--src", required=True, help="directory of .psg grids")
+    q.add_argument("--src", nargs="+", required=True, help="PSG1 grid files to index")
     q.add_argument("--out", required=True)
     q.add_argument("--size", type=_positive_int, default=200)
     q.set_defaults(func=cmd_rtm_build)

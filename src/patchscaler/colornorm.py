@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, GridShapeError
+from .errors import GridShapeError
 
 _S = np.sqrt(0.5)
 
@@ -42,10 +42,6 @@ def haar_forward(img: np.ndarray, levels: int):
     """(low, details): the level-`levels` low band and the per-level
     (lh, hl, hh) detail bands, finest first; level k bands are (c, h/2^k, w/2^k).
     """
-    if img.ndim != 3:
-        raise GridShapeError("expected a (c, h, w) grid")
-    if levels < 1:
-        raise ConfigError("need at least one level")
     _, h, w = img.shape
     if h % (1 << levels) or w % (1 << levels):
         raise GridShapeError(f"{h}x{w} not divisible by 2^{levels}")

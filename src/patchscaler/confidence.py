@@ -41,10 +41,6 @@ class LossParams:
     lam: float = 1.0
     eta: float = 1.0
 
-    def __post_init__(self):
-        if self.lam <= 0 or self.eta <= 0:
-            raise ConfigError("lambda and eta must be positive")
-
 
 def confidence_loss_and_grads(y_hr: np.ndarray, x_hr: np.ndarray,
                               c: np.ndarray, p: LossParams = LossParams()):
@@ -53,10 +49,6 @@ def confidence_loss_and_grads(y_hr: np.ndarray, x_hr: np.ndarray,
     All reductions are means, so the value is resolution independent; the
     confidence map (1, h, w) is broadcast across channels.
     """
-    if y_hr.shape != x_hr.shape:
-        raise GridShapeError(f"shape mismatch: {y_hr.shape} vs {x_hr.shape}")
-    if c.ndim != 3 or c.shape[0] != 1 or c.shape[1:] != y_hr.shape[1:]:
-        raise GridShapeError(f"confidence map shape {c.shape} incompatible with {y_hr.shape}")
     if np.any(c <= 0):
         raise ConfigError("confidence values must be strictly positive")
 

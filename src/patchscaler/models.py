@@ -160,8 +160,6 @@ class PatchDiT:
 
     def forward(self, x_t: np.ndarray, t: int, prompt=None, want_cache=False):
         c, v = self.channels, self.patch
-        if x_t.shape != (c, v, v):
-            raise GridShapeError(f"patch shape {x_t.shape} != {(c, v, v)}")
         p = self.params
         tokens = x_t.astype(np.float64).reshape(c, v * v).T  # (n, c)
         te = time_embed(t, self.width)

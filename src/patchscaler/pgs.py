@@ -37,21 +37,6 @@ class PgsReport:
         return "\n".join(lines) + "\n"
 
 
-class CountingDenoiser:
-    """Wraps a denoiser and counts patch evaluations, for honest NFE audits.
-
-    A call on a (B, c, V, V) batch counts B evaluations.
-    """
-
-    def __init__(self, denoiser):
-        self.denoiser = denoiser
-        self.calls = 0
-
-    def __call__(self, x_t, t, prompts=None):
-        self.calls += len(x_t)
-        return self.denoiser(x_t, t, prompts)
-
-
 def _patch_rng(seed: int, index: int) -> np.random.Generator:
     # noise depends only on (run seed, patch index) so group scheduling
     # cannot change results

@@ -28,10 +28,6 @@ class TextureMemory:
     extractor_seed: int = 0  # TextureExtractor(values.shape[1:], seed) made the keys
 
     def __post_init__(self):
-        if self.keys.ndim != 2 or self.values.ndim != 4:
-            raise GridShapeError("keys must be (n, D), values (n, c, V, V)")
-        if len(self.keys) != len(self.values):
-            raise GridShapeError("key/value counts disagree")
         if not 0 <= self.extractor_seed < 2**64:
             raise ConfigError(f"extractor seed {self.extractor_seed} outside [0, 2**64)")
 
@@ -101,11 +97,10 @@ def farthest_point_sample(keys: np.ndarray, m: int, start: int = 0) -> np.ndarra
 
 
 def build_memory(patches: list[np.ndarray], t, m: int) -> TextureMemory:
-    """Extract keys, compact to m entries by FPS over key space."""
+    """Extract keys, compact to m entries by FPS over key space; FPS rejects
+    an m above the number of patches."""
     if not patches:
         raise ConfigError("no source patches")
-    if m > len(patches):
-        raise ConfigError(f"target size {m} exceeds {len(patches)} source patches")
     keys = np.stack([extract_query(t, p) for p in patches])
     idx = farthest_point_sample(keys, m)
     values = np.stack([patches[i] for i in idx]).astype(np.float32)
@@ -129,9 +124,7 @@ def retrieve_topk(mem: TextureMemory, patch: np.ndarray, t, K: int) -> Retrieval
 
 def save_memory(mem: TextureMemory, path):
     n, D = mem.keys.shape
-    _, c, V, V2 = mem.values.shape
-    if V != V2:
-        raise GridShapeError("texture values must be square patches")
+    _, c, V, _ = mem.values.shape
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(_HEADER.pack(n, D, c, V, mem.extractor_seed))

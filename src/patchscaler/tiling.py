@@ -32,8 +32,6 @@ class PatchGrid:
 
 def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarray], PatchGrid]:
     """Split (c, h, w) into row-major overlapping V x V patches."""
-    if feature.ndim != 3:
-        raise GridShapeError("expected a (c, h, w) grid")
     c, h, w = feature.shape
     if not 0 <= overlap < V:
         raise ConfigError(f"overlap must be in [0, V), got {overlap} for V={V}")

@@ -7,11 +7,31 @@ from patchscaler.checkpoint import load_params, restore_into
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 GlobalRestorer, PatchDiT,
                                 make_dit_gaussian_objective, train_toy)
-from patchscaler.pgs import CountingDenoiser
 from patchscaler.pipeline import PipelineConfig, make_scene, superresolve
 from patchscaler.schedule import build_linear_schedule
 
 GRM_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "grm.psck"
+
+
+class CountingDenoiser:
+    """Wraps a denoiser and counts patch evaluations, for honest NFE audits.
+
+    A call on a (B, c, V, V) batch counts B evaluations.
+    """
+
+    def __init__(self, denoiser):
+        self.denoiser = denoiser
+        self.calls = 0
+
+    def __call__(self, x_t, t, prompts=None):
+        self.calls += len(x_t)
+        return self.denoiser(x_t, t, prompts)
+
+
+def forward_step(s, x_prev, t, eps):
+    """One forward transition: sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps."""
+    beta = float(s.betas[t - 1])
+    return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * eps
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,10 @@ from patchscaler.pipeline import make_scene, nearest_upsample
 from patchscaler.rtm import (RetrievalResult, TextureMemory,
                              farthest_point_sample, load_memory,
                              retrieve_topk, save_memory)
-from patchscaler.schedule import forward_sample, forward_step
+from patchscaler.schedule import forward_sample
 from patchscaler.tiling import decompose, recompose
+
+from conftest import forward_step
 
 
 def _report(num, desc, ok, detail=""):

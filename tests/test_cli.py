@@ -9,8 +9,10 @@ import pytest
 from patchscaler import cli
 from patchscaler.checkpoint import save_params
 from patchscaler.gridio import load_grid, save_grid
-from patchscaler.models import PatchDiT
-from patchscaler.rtm import TextureMemory, save_memory
+from patchscaler.models import GlobalRestorer, PatchDiT
+from patchscaler.rtm import (TextureExtractor, TextureMemory, build_memory,
+                             load_memory, save_memory)
+from patchscaler.tiling import decompose
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -93,7 +95,7 @@ def test_dit_and_rtm_workflow(tmp_path, capsys):
                      "--width", "8", "--depth", "1", "--batch", "2",
                      *geometry]) == 0
     mem = tmp_path / "mem.rtm"
-    assert cli.main(["rtm", "build", "--src", str(scene), "--out", str(mem),
+    assert cli.main(["rtm", "build", "--src", str(scene / "hr.psg"), "--out", str(mem),
                      "--size", "4", *geometry]) == 0
     capsys.readouterr()
     out = tmp_path / "sr.psg"
@@ -127,8 +129,8 @@ def test_rtm_build_and_query(tmp_path, capsys):
         save_grid(src / f"g{i}.psg",
                   rng.standard_normal((1, 32, 32)).astype(np.float32))
     mem = tmp_path / "mem.rtm"
-    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(mem),
-                   "--size", "8", "--seed", "0"])
+    rc = cli.main(["rtm", "build", "--src", *(str(src / f"g{i}.psg") for i in range(3)),
+                   "--out", str(mem), "--size", "8", "--seed", "0"])
     assert rc == 0
     assert "8 entries" in capsys.readouterr().out
 
@@ -143,6 +145,28 @@ def test_rtm_build_and_query(tmp_path, capsys):
     assert sims == sorted(sims, reverse=True)
 
 
+def test_rtm_build_indexes_only_the_given_grids(tmp_path, capsys):
+    # --src names grid files: the memory of a scene's hr.psg holds HR patches
+    # only, no LR or mask tile; a directory is not a grid file and exits 3
+    scene = tmp_path / "scene"
+    assert cli.main(["gen-data", "--out", str(scene), "--size", "32x32",
+                     "--patch-size", "8", "--seed", "1"]) == 0
+    mem = tmp_path / "mem.rtm"
+    assert cli.main(["rtm", "build", "--src", str(scene / "hr.psg"), "--out", str(mem),
+                     "--size", "16", "--patch-size", "8"]) == 0
+    assert "16 source patches -> 16 entries" in capsys.readouterr().out
+    hr_patches = decompose(load_grid(scene / "hr.psg"), 8, 0)[0]
+    values = load_memory(mem).values
+    assert len(values) == 16
+    assert all(any(np.array_equal(v, p) for p in hr_patches) for v in values)
+
+    rc = cli.main(["rtm", "build", "--src", str(scene), "--out", str(tmp_path / "dir.rtm"),
+                   "--size", "4", "--patch-size", "8"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("i/o error")
+    assert not (tmp_path / "dir.rtm").exists()
+
+
 @pytest.mark.parametrize("odd_shape", [(3, 32, 32), (1, 32, 12)])
 def test_rtm_build_rejects_an_unfit_grid(tmp_path, capsys, odd_shape):
     # another channel count than the first grid, or a side below the patch
@@ -152,19 +176,34 @@ def test_rtm_build_rejects_an_unfit_grid(tmp_path, capsys, odd_shape):
     rng = np.random.Generator(np.random.PCG64(4))
     save_grid(src / "a.psg", rng.standard_normal((1, 32, 32)).astype(np.float32))
     save_grid(src / "b.psg", rng.standard_normal(odd_shape).astype(np.float32))
-    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(tmp_path / "m.rtm"),
-                   "--size", "2", "--patch-size", "16"])
+    rc = cli.main(["rtm", "build", "--src", str(src / "a.psg"), str(src / "b.psg"),
+                   "--out", str(tmp_path / "m.rtm"), "--size", "2", "--patch-size", "16"])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error") and "b.psg" in err
     assert not (tmp_path / "m.rtm").exists()
 
 
+@pytest.mark.parametrize("grid, size", [(np.zeros((1, 32, 32), np.float32), 1),
+                                        (np.ones((1, 32, 32), np.float32), 5)])
+def test_rtm_build_without_enough_patches_exits_2(tmp_path, capsys, grid, size):
+    # an all-zero grid has no patch with a feature to index; a 32x32 grid has
+    # four 16x16 patches, fewer than --size 5
+    src = tmp_path / "g.psg"
+    save_grid(src, grid)
+    mem = tmp_path / "m.rtm"
+    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(mem),
+                   "--size", str(size)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not mem.exists()
+
+
 def test_rtm_query_featureless_patch_exits_3(tmp_path, capsys):
     scene = tmp_path / "scene"
     assert cli.main(["gen-data", "--out", str(scene), "--size", "32x32"]) == 0
     mem = tmp_path / "m.rtm"
-    assert cli.main(["rtm", "build", "--src", str(scene), "--out", str(mem),
+    assert cli.main(["rtm", "build", "--src", str(scene / "hr.psg"), "--out", str(mem),
                      "--size", "4"]) == 0
     zeros = tmp_path / "zeros.psg"
     save_grid(zeros, np.zeros((1, 16, 16), np.float32))
@@ -182,7 +221,7 @@ def test_rtm_query_uses_the_extractor_in_the_file(tmp_path, capsys):
     rng = np.random.Generator(np.random.PCG64(6))
     save_grid(src / "g.psg", rng.standard_normal((1, 32, 32)).astype(np.float32))
     mem = tmp_path / "mem.rtm"
-    assert cli.main(["rtm", "build", "--src", str(src), "--out", str(mem),
+    assert cli.main(["rtm", "build", "--src", str(src / "g.psg"), "--out", str(mem),
                      "--size", "4", "--seed", "0"]) == 0
     patch = tmp_path / "q.psg"
     save_grid(patch, rng.standard_normal((1, 16, 16)).astype(np.float32))
@@ -241,7 +280,8 @@ def test_exit_code_config_error(tmp_path, capsys):
                                    ["--topk", "0"], ["--seed", "-1"],
                                    ["--config", "levels -1"],
                                    ["--config", "levels 0"],
-                                   ["--config", "beta_end 2.0"]])
+                                   ["--config", "beta_end 2.0"],
+                                   ["--steps", "0,14,20"]])
 def test_bad_group_flags_fail_at_parse_time(tmp_path, capsys, flags):
     # the input file is missing, so exit 2 (not 3) shows the config was
     # rejected before anything was loaded or run
@@ -313,6 +353,49 @@ def test_nan_input_is_numeric_error_at_grm(tmp_path, capsys):
     rc = cli.main(["sr", "--input", str(path), "--output", str(tmp_path / "out.psg")])
     assert rc == 4
     assert "stage 'grm' failed" in capsys.readouterr().err
+
+    # a finite input through a GRM checkpoint with a NaN confidence head
+    grm = GlobalRestorer(channels=1, hidden=4, seed=0)
+    grm.params["conf.w"][0] = np.nan
+    ckpt = tmp_path / "nan.psck"
+    save_params(ckpt, grm.params)
+    save_grid(path, np.zeros((1, 16, 16), np.float32))
+    rc = cli.main(["sr", "--input", str(path), "--output", str(tmp_path / "out.psg"),
+                   "--grm", str(ckpt)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "stage 'grm' failed" in err and "confidence map is not finite" in err
+
+
+def test_grm_checkpoint_of_other_channel_count_exits_3_at_grm(tmp_path, capsys):
+    ckpt = tmp_path / "grm.psck"
+    save_params(ckpt, GlobalRestorer(channels=1, hidden=4, seed=0).params)
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.zeros((3, 16, 16), np.float32))
+    out = tmp_path / "out.psg"
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out), "--grm", str(ckpt)])
+    assert rc == 3
+    assert "stage 'grm' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("V, flags, code", [(16, ["--topk", "9"], 2),
+                                            (8, ["--patch-size", "16"], 3)])
+def test_sr_with_an_unfit_memory_fails_at_retrieve(tmp_path, capsys, V, flags, code):
+    # a --topk above the memory's 4 entries is a config error; patches of
+    # another size than the memory's cannot be queried
+    rng = np.random.Generator(np.random.PCG64(8))
+    source = list(rng.standard_normal((4, 1, V, V)).astype(np.float32))
+    mem = tmp_path / "m.rtm"
+    save_memory(build_memory(source, TextureExtractor((1, V, V)), 4), mem)
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, rng.standard_normal((1, 16, 16)).astype(np.float32))
+    out = tmp_path / "out.psg"
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out),
+                   "--rtm", str(mem), *flags])
+    assert rc == code
+    assert "stage 'retrieve' failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_dit_output_is_numeric_error_at_pgs(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchscaler.checkpoint import load_params
@@ -51,6 +51,8 @@ memory_files = st.one_of(
     st.tuples(st.sampled_from([b"RTM1", b"RTM2"]),
               st.tuples(_size, _size, _size, _size, _seed), st.binary(max_size=64))
       .map(lambda msp: msp[0] + struct.pack("<4IQ", *msp[1]) + msp[2]),
+    # a header cut to 0-23 of its 24 bytes
+    st.binary(max_size=23).map(lambda h: b"RTM2" + h),
     st.tuples(_small, _small, _small, _small, _seed).flatmap(
         lambda s: _with_payload(b"RTM2" + struct.pack("<4IQ", *s),
                                 4 * s[0] * (s[1] + s[2] * s[3] * s[3]))),
@@ -67,6 +69,7 @@ def test_load_grid_any_bytes(raw):
 
 @settings(max_examples=300, deadline=None)
 @given(memory_files)
+@example(b"RTM2" + bytes(23))
 def test_load_memory_any_bytes(raw):
     mem = _load(load_memory, raw)
     if mem is not None:
@@ -83,8 +86,9 @@ _sections = st.tuples(_names, _shapes, st.binary(max_size=48)).map(
     + s[2])
 checkpoint_files = st.one_of(
     st.binary(max_size=64),
-    st.tuples(st.integers(0, 2), st.lists(_sections, max_size=3)).map(
-        lambda vs: b"PSCK" + struct.pack("<II", 1, vs[0]) + b"".join(vs[1])),
+    # version 1 and its neighbours, which must be refused
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.lists(_sections, max_size=3)).map(
+        lambda vcs: b"PSCK" + struct.pack("<II", *vcs[:2]) + b"".join(vcs[2])),
     st.tuples(_small, _small).flatmap(
         lambda d: _with_payload(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w"
                                 + struct.pack("<B2I", 2, *d), 4 * d[0] * d[1])),
@@ -93,6 +97,10 @@ checkpoint_files = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(checkpoint_files)
+# an unknown version; a section without elements whose other sides overflow numpy
+@example(b"PSCK" + struct.pack("<II", 2, 0))
+@example(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w"
+         + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1))
 def test_load_params_any_bytes(raw):
     params = _load(load_params, raw)
     if params is not None:

@@ -5,10 +5,12 @@ from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 PatchDiT)
-from patchscaler.pgs import CountingDenoiser, run_group, run_pgs
+from patchscaler.pgs import run_group, run_pgs
 from patchscaler.pipeline import PipelineConfig, _unified_cfg
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import make_substeps, reverse_step, truncated_forward
+
+from conftest import CountingDenoiser
 
 S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
 TAUS, STEPS = PipelineConfig.taus, PipelineConfig.steps  # the default table

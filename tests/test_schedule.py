@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from patchscaler.errors import ConfigError, GridShapeError
 from patchscaler.schedule import (build_linear_schedule, forward_sample,
-                                  forward_step, make_substeps, reverse_step,
-                                  truncated_forward)
+                                  make_substeps, reverse_step, truncated_forward)
+
+from conftest import forward_step
 
 
 def test_constant_beta_products():
