@@ -14,7 +14,7 @@ from .models import (GaussianOracleDenoiser, GaussianOracleStats,
                      GlobalRestorer, PatchDiT, make_dit_gaussian_objective,
                      make_grm_objective, train_toy)
 from .pipeline import PipelineConfig, make_scene
-from .rtm import (TextureExtractor, build_memory, extract_query, load_memory,
+from .rtm import (TextureExtractor, compact_memory, index_patches, load_memory,
                   retrieve_topk, save_memory)
 from .tiling import decompose
 
@@ -167,15 +167,11 @@ def cmd_rtm_build(args):
         if g.shape[0] != shape[0] or min(g.shape[1:]) < cfg.patch:
             raise DimensionMismatchError(f"{path}: grid {g.shape} does not hold "
                                          f"{shape} patches")
-        for p in decompose(g, cfg.patch, 0)[0]:
-            try:
-                extract_query(extractor, p)
-            except DegenerateQueryError:
-                continue  # featureless patch, nothing to index
-            patches.append(p)
-    mem = build_memory(patches, extractor, args.size)
+        patches += decompose(g, cfg.patch, 0)[0]
+    keys, indexed = index_patches(patches, extractor)
+    mem = compact_memory(keys, indexed, args.size, extractor.seed)
     save_memory(mem, args.out)
-    print(f"built texture memory: {len(patches)} source patches -> "
+    print(f"built texture memory: {len(indexed)} source patches -> "
           f"{mem.count} entries at {args.out}")
     return 0
 

@@ -346,9 +346,13 @@ class GaussianOracleDenoiser:
 
     def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
         # elementwise, so a (B, c, V, V) batch needs no loop; no prompts used
+        # (sqrt(ab) var x_t + (1 - ab) mean) / denom, in place on one new array
         stats, ab = self.stats, self.schedule.alpha_bar(t)
         denom = ab * stats.var + 1.0 - ab
-        return (np.sqrt(ab) * stats.var * x_t + (1.0 - ab) * stats.mean) / denom
+        x0_hat = np.multiply(np.sqrt(ab) * stats.var, x_t)
+        x0_hat += (1.0 - ab) * stats.mean
+        x0_hat /= denom
+        return x0_hat
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +370,46 @@ def _channels_last(a):
     return a.transpose(1, 2, 0).copy().transpose(2, 0, 1)
 
 
-def _conv3x3_forward(x, w, b):
+def _conv3x3_forward(x, w, b, out=None):
     # im2col + GEMM in bands of max(1, 4096 // width) output rows, about 4096
     # cells: the fastest band size probed at 512x512, where the whole column
-    # matrix would take ~300 MB.  x is padded once; each band fills one reused
-    # channels-first (c, 3, 3, rows, width) column buffer with nine shifted
-    # slice copies of whole rows.  The GEMM stays (cells, 9c) @ (9c, f), on a
-    # transposed view of the buffer, so the (c, di, dj) reduction runs
-    # through the BLAS kernels of a plain im2col product and banding leaves
-    # the bits alone.  The faster (f, 9c) @ (9c, cells) runs a band's
-    # trailing cells through other kernels and changes bits; so does a band
-    # of under ~75 cells with c >= 4 here, as OpenBLAS picks its small-matrix
-    # kernel by operand layout.  Each band's (cells, f) result goes, bias
-    # added, into the C-contiguous (f, h, w) output while still in cache.
+    # matrix would take ~300 MB.  Each band fills one reused channels-first
+    # (c, 3, 3, rows, width) column buffer with the nine shifted slices of x
+    # itself, and zeros where a shift reaches the 1-cell halo past its first
+    # or last row or column, so no padded copy of x is made.  The GEMM stays
+    # (cells, 9c) @ (9c, f), on a transposed view of the buffer, so the
+    # (c, di, dj) reduction runs through the BLAS kernels of a plain im2col
+    # product and banding leaves the bits alone.  The faster
+    # (f, 9c) @ (9c, cells) runs a band's trailing cells through other
+    # kernels and changes bits; so does a band of under ~75 cells with
+    # c >= 4 here, as OpenBLAS picks its small-matrix kernel by operand
+    # layout.  Each band's (cells, f) result goes, bias added, into the
+    # (f, h, w) output while still in cache: out if given, of any memory
+    # layout, else a new C-contiguous array.
     c, h_, w_ = x.shape
     f = len(w)
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     wt = w.reshape(f, c * 9).T
-    y = np.empty((f, h_, w_))
+    y = np.empty((f, h_, w_)) if out is None else out
     band = max(1, 4096 // w_)
     buf = np.empty(c * 9 * min(band, h_) * w_)
-    out = np.empty((min(band, h_) * w_, f))
+    o = np.empty((min(band, h_) * w_, f))
     for r in range(0, h_, band):
         bh = min(band, h_ - r)
         n = bh * w_
         cols = buf[:c * 9 * n].reshape(c, 3, 3, bh, w_)
         for di in range(3):
-            for dj in range(3):
-                cols[:, di, dj] = xp[:, r + di:r + di + bh, dj:dj + w_]
-        np.matmul(cols.reshape(c * 9, n).T, wt, out=out[:n])
-        np.add(out[:n].T, b[:, None], out=y[:, r:r + bh].reshape(f, n))
+            # band row i reads x row r + i + di - 1; rows outside x are halo
+            lo, hi = max(0, 1 - r - di), min(bh, h_ + 1 - r - di)
+            cols[:, di, :, :lo] = 0.0
+            cols[:, di, :, hi:] = 0.0
+            rows = x[:, r + lo + di - 1:r + hi + di - 1]
+            cols[:, di, 0, lo:hi, 1:] = rows[:, :, :w_ - 1]
+            cols[:, di, 0, lo:hi, 0] = 0.0
+            cols[:, di, 1, lo:hi] = rows
+            cols[:, di, 2, lo:hi, :w_ - 1] = rows[:, :, 1:]
+            cols[:, di, 2, lo:hi, w_ - 1] = 0.0
+        np.matmul(cols.reshape(c * 9, n).T, wt, out=o[:n])
+        np.add(o[:n].T.reshape(f, bh, w_), b[:, None, None], out=y[:, r:r + bh])
     return y
 
 
@@ -442,12 +456,17 @@ class GlobalRestorer:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
         x = y_lr.astype(np.float64)
-        h1 = np.tanh(_conv3x3_forward(x, p["conv1.w"], p["conv1.b"]))
+        h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"])
+        np.tanh(h1, out=h1)
         # einsum's summation order in the heads, and the backward's in
-        # training, follow the memory layout of h2 and h1: keep both in the
+        # training, follow the memory layout of h2 and h1: both stay in the
         # channels-last layout the checkpoint and golden digests were made
-        # with, so outputs and trained weights keep their bits
-        h2 = _channels_last(np.tanh(_conv3x3_forward(h1, p["conv2.w"], p["conv2.b"])))
+        # with, so outputs and trained weights keep their bits.  conv2 writes
+        # h2 straight into that layout; only the training cache copies h1.
+        _, h, w = x.shape
+        h2 = np.empty((h, w, len(p["conv2.w"]))).transpose(2, 0, 1)
+        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], out=h2)
+        np.tanh(h2, out=h2)
         feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
         y_hr = x + feat
         z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]

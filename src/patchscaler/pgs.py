@@ -61,8 +61,10 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
         raise ConfigError("prompts/indices must align with patches")
     if not len(y0):
         return y0
-    eps = np.stack([_patch_rng(seed, idx).standard_normal(y0.shape[1:])
-                    for idx in indices]).astype(y0.dtype)
+    eps = np.empty(y0.shape)
+    for e, idx in zip(eps, indices):
+        _patch_rng(seed, idx).standard_normal(out=e)
+    eps = eps.astype(y0.dtype, copy=False)
     x = truncated_forward(s, y0, tau, eps)
     for t, t_next in zip(ladder, ladder[1:]):
         x0_hat = denoiser(x, t, prompts)

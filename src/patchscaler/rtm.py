@@ -96,15 +96,33 @@ def farthest_point_sample(keys: np.ndarray, m: int, start: int = 0) -> np.ndarra
     return np.array(chosen, dtype=np.int64)
 
 
-def build_memory(patches: list[np.ndarray], t, m: int) -> TextureMemory:
-    """Extract keys, compact to m entries by FPS over key space; FPS rejects
-    an m above the number of patches."""
+def index_patches(patches, t) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Keys of the patches that have features, and those patches: a
+    featureless patch gives no direction to retrieve it by, so it is left out."""
+    keys, kept = [], []
+    for p in patches:
+        try:
+            keys.append(extract_query(t, p))
+        except DegenerateQueryError:
+            continue
+        kept.append(p)
+    return keys, kept
+
+
+def compact_memory(keys, patches, m: int, extractor_seed: int) -> TextureMemory:
+    """m of the indexed patches chosen by FPS over key space; FPS rejects an
+    m above the number of patches."""
     if not patches:
-        raise ConfigError("no source patches")
-    keys = np.stack([extract_query(t, p) for p in patches])
+        raise ConfigError("no source patch has features")
+    keys = np.stack(keys)
     idx = farthest_point_sample(keys, m)
     values = np.stack([patches[i] for i in idx]).astype(np.float32)
-    return TextureMemory(keys=keys[idx], values=values, extractor_seed=t.seed)
+    return TextureMemory(keys=keys[idx], values=values, extractor_seed=extractor_seed)
+
+
+def build_memory(patches: list[np.ndarray], t, m: int) -> TextureMemory:
+    """Index the patches that have features, compact them to m entries."""
+    return compact_memory(*index_patches(patches, t), m, t.seed)
 
 
 def retrieve_topk(mem: TextureMemory, patch: np.ndarray, t, K: int) -> RetrievalResult:

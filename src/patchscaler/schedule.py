@@ -103,5 +103,13 @@ def reverse_step(s: NoiseSchedule, x_t: np.ndarray, x0_hat: np.ndarray,
         return x0_hat.copy()
     ab_t = s.alpha_bar(t)
     ab_n = s.alpha_bar(t_next)
-    eps_hat = (x_t - np.sqrt(ab_t) * x0_hat) / np.sqrt(1.0 - ab_t)
-    return np.sqrt(ab_n) * x0_hat + np.sqrt(1.0 - ab_n) * eps_hat
+    # eps_hat = (x_t - sqrt(ab_t) x0_hat) / sqrt(1 - ab_t), then
+    # sqrt(ab_n) x0_hat + sqrt(1 - ab_n) eps_hat: the same operations in the
+    # same order, in place on two new arrays
+    eps_hat = np.multiply(np.sqrt(ab_t), x0_hat)
+    np.subtract(x_t, eps_hat, out=eps_hat)
+    eps_hat /= np.sqrt(1.0 - ab_t)
+    x_next = np.multiply(np.sqrt(ab_n), x0_hat)
+    eps_hat *= np.sqrt(1.0 - ab_n)
+    x_next += eps_hat
+    return x_next

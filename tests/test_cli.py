@@ -167,6 +167,29 @@ def test_rtm_build_indexes_only_the_given_grids(tmp_path, capsys):
     assert not (tmp_path / "dir.rtm").exists()
 
 
+def test_rtm_build_extracts_each_source_patch_once(tmp_path, capsys, monkeypatch):
+    # two of the four 16x16 patches are all zeros, hence featureless: the
+    # extractor sees each patch once, and the line counts the two it indexed
+    grid = np.random.Generator(np.random.PCG64(5)).standard_normal((1, 32, 32))
+    grid[:, :16, 16:] = 0.0
+    grid[:, 16:, :16] = 0.0
+    src = tmp_path / "g.psg"
+    save_grid(src, grid.astype(np.float32))
+    calls = []
+    extract = TextureExtractor.__call__
+
+    def counted(self, patch):
+        calls.append(patch)
+        return extract(self, patch)
+
+    monkeypatch.setattr(TextureExtractor, "__call__", counted)
+    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(tmp_path / "m.rtm"),
+                   "--size", "2"])
+    assert rc == 0
+    assert len(calls) == 4
+    assert "2 source patches -> 2 entries" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("odd_shape", [(3, 32, 32), (1, 32, 12)])
 def test_rtm_build_rejects_an_unfit_grid(tmp_path, capsys, odd_shape):
     # another channel count than the first grid, or a side below the patch

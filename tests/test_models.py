@@ -256,9 +256,14 @@ def _conv3x3_reference(x, w, b):
 # bands of 4096 // width rows: 40 rows for width 100 and 13 for width 300,
 # neither dividing the height; width 48 fits a 48-row input in one band;
 # width 4100 > 4096 gives one-row bands; 3 channels at width 150 end in a
-# 300-cell band, which the (f, 9c) @ (9c, cells) GEMM gets wrong in the bits
+# 300-cell band, which the (f, 9c) @ (9c, cells) GEMM gets wrong in the bits.
+# The halo: one row, where a band's first row is also its last; one and two
+# columns, where the left and right halo columns meet; a final band of one
+# row after full ones (81 = 2 * 40 + 1 at width 100, 14 = 13 + 1 at 300)
 @pytest.mark.parametrize("shape", [(1, 97, 100), (16, 50, 300), (1, 48, 48),
-                                   (16, 48, 48), (1, 2, 4100), (3, 29, 150)])
+                                   (16, 48, 48), (1, 2, 4100), (3, 29, 150),
+                                   (1, 1, 100), (1, 100, 1), (2, 60, 2),
+                                   (1, 81, 100), (16, 14, 300)])
 def test_banded_conv_matches_full_im2col(shape):
     rng = np.random.Generator(np.random.PCG64(12))
     x = rng.standard_normal(shape)
@@ -267,6 +272,19 @@ def test_banded_conv_matches_full_im2col(shape):
     y = _conv3x3_forward(x, w, b)
     assert y.shape == (16,) + shape[1:] and y.flags.c_contiguous
     assert np.array_equal(y, _conv3x3_reference(x, w, b))
+
+
+def test_conv_writes_every_cell_of_a_channels_last_out():
+    # the GRM hands conv2 a channels-last view to fill: every cell is
+    # written (no NaN survives) with the bits of the one-GEMM reference
+    rng = np.random.Generator(np.random.PCG64(13))
+    x = rng.standard_normal((16, 29, 150))
+    w = rng.standard_normal((16, 16, 3, 3))
+    b = rng.standard_normal(16)
+    out = np.full((29, 150, 16), np.nan).transpose(2, 0, 1)
+    y = _conv3x3_forward(x, w, b, out=out)
+    assert y is out
+    assert np.array_equal(out, _conv3x3_reference(x, w, b))
 
 
 def test_grm_forward_contract():
@@ -328,6 +346,23 @@ def test_gaussian_oracle_is_conditional_mean():
     mse = np.mean(resid ** 2)
     for shift in (-0.05, 0.05):
         assert np.mean((x0 - (pred + shift)) ** 2) > mse
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gaussian_oracle_leaves_its_input_alone(dtype):
+    # in place on a new array, with the dtype and bits of the expression
+    # (sqrt(ab) var x_t + (1 - ab) mean) / denom
+    s = build_linear_schedule(1000)
+    stats = GaussianOracleStats(mean=0.3, var=0.5)
+    x_t = np.random.Generator(np.random.PCG64(8)).standard_normal((3, 1, 4, 4)).astype(dtype)
+    before = x_t.copy()
+    out = GaussianOracleDenoiser(stats, s)(x_t, 400)
+    ab = s.alpha_bar(400)
+    denom = ab * stats.var + 1.0 - ab
+    expected = (np.sqrt(ab) * stats.var * x_t + (1.0 - ab) * stats.mean) / denom
+    assert np.array_equal(x_t, before)
+    assert not np.shares_memory(out, x_t)
+    assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
 
 def test_train_toy_basic_contracts():

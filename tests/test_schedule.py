@@ -165,6 +165,29 @@ def test_reverse_step_terminal_and_errors():
         reverse_step(s, x, x0, 5, 9)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t_next", [350, 0])
+def test_reverse_step_leaves_its_inputs_alone(dtype, t_next):
+    # in place on new arrays, with the dtype and bits of the expressions
+    # eps = (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t) and
+    # sqrt(ab_n) x0 + sqrt(1 - ab_n) eps
+    s = build_linear_schedule(1000)
+    rng = np.random.Generator(np.random.PCG64(4))
+    x_t = rng.standard_normal((3, 1, 4, 4)).astype(dtype)
+    x0 = rng.standard_normal((3, 1, 4, 4)).astype(dtype)
+    before = x_t.copy(), x0.copy()
+    out = reverse_step(s, x_t, x0, 700, t_next)
+    if t_next:
+        ab_t, ab_n = s.alpha_bar(700), s.alpha_bar(t_next)
+        eps = (x_t - np.sqrt(ab_t) * x0) / np.sqrt(1.0 - ab_t)
+        expected = np.sqrt(ab_n) * x0 + np.sqrt(1.0 - ab_n) * eps
+    else:
+        expected = x0
+    assert np.array_equal(x_t, before[0]) and np.array_equal(x0, before[1])
+    assert not np.shares_memory(out, x_t) and not np.shares_memory(out, x0)
+    assert out.dtype == expected.dtype and np.array_equal(out, expected)
+
+
 def test_full_ladder_descent_with_perfect_prediction():
     s = build_linear_schedule(1000)
     rng = np.random.Generator(np.random.PCG64(3))
