@@ -198,7 +198,8 @@ class PatchDiT:
         return out, cache
 
     def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
-        """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts.
+        """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts,
+        each None or a retrieval result, all of one length K per call.
 
         The inference path: the whole network runs in float32 on (b, n, d)
         tokens, b patches at a time, with the parameters cast once per call.
@@ -233,20 +234,15 @@ class PatchDiT:
         tokens = x.reshape(b, c, -1).swapaxes(1, 2).astype(np.float32)  # (b, n, c)
         h = tokens @ p["embed.w"] + p["embed.b"]
         h *= s_in
-        # cross-attention sees only the patches with a prompt, grouped by
-        # prompt length so each group stacks into one (k, K, d) batch
-        by_len: dict[int, list[int]] = {}
-        for i, pr in enumerate(prompts):
-            if pr is not None:
-                by_len.setdefault(len(pr.priors), []).append(i)
-        groups = [(idx, np.stack([self._encode_prompt(prompts[i], p)[0] for i in idx]))
-                  for idx in by_len.values()]
+        # cross-attention sees only the patches with a prompt, their prompts
+        # stacked into one (k, K, d) batch
+        idx = [i for i, pr in enumerate(prompts) if pr is not None]
+        pt = np.stack([self._encode_prompt(prompts[i], p)[0] for i in idx]) if idx else None
         for i in range(self.depth):
             pre = f"b{i}"
             h += _attn_forward(h, h, p, f"{pre}.sa", self.heads)[0]
-            for idx, pt in groups:
-                ca_out = _attn_forward(h[idx], pt, p, f"{pre}.ca", self.heads)[0]
-                h[idx] += ca_out * s_ca[i]
+            if idx:
+                h[idx] += _attn_forward(h[idx], pt, p, f"{pre}.ca", self.heads)[0] * s_ca[i]
             g = np.tanh(h @ p[f"{pre}.ff.w1"] + p[f"{pre}.ff.b1"])
             h += g @ p[f"{pre}.ff.w2"]
             h += p[f"{pre}.ff.b2"]

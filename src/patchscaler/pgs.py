@@ -76,10 +76,11 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
 
 def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
             prompts=None, seed: int = 0):
-    """Partition patches by difficulty, sample each group, merge in order.
+    """Partition patches by difficulty and sample each group.
 
     taus and steps are (simple, medium, hard) tuples: group g samples from
-    intermediate step taus[g] with steps[g] denoiser calls per patch.
+    intermediate step taus[g] with steps[g] denoiser calls per patch and is
+    written at its indices into one float64 (N, c, V, V) result.
     """
     patches = np.asarray(patches)
     if len(qmap) != len(patches):
@@ -87,17 +88,15 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
     if prompts is None:
         prompts = [None] * len(patches)
     t0 = time.perf_counter()
-    outs, order = [], []
+    results = np.empty(patches.shape)
     group_counts, group_nfe = {}, {}
     for label, tau, n in zip(GroupLabel, taus, steps, strict=True):
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
         group_nfe[label] = len(idx) * n
-        outs.append(run_group(denoiser, s, patches[idx], tau, n,
-                              prompts=[prompts[i] for i in idx], seed=seed,
-                              indices=idx))
-        order += idx
-    results = np.concatenate(outs)[np.argsort(order)]
+        results[idx] = run_group(denoiser, s, patches[idx], tau, n,
+                                 prompts=[prompts[i] for i in idx], seed=seed,
+                                 indices=idx)
     report = PgsReport(
         group_counts=group_counts,
         group_nfe=group_nfe,

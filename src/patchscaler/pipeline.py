@@ -70,21 +70,25 @@ class PipelineConfig:
 
 
 def parse_config_file(path) -> dict:
-    """key value (or key=value) lines mirroring PipelineConfig field names."""
+    """UTF-8 key value (or key=value) lines mirroring PipelineConfig fields."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({e})") from e
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, val = (s.strip() for s in line.split("=", 1))
-            else:
-                key, _, val = line.partition(" ")
-                val = val.strip()
-            if key not in PipelineConfig.__dataclass_fields__:
-                raise ConfigError(f"unknown config key '{key}'")
-            out[key] = coerce_field(key, val)
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, val = (s.strip() for s in line.split("=", 1))
+        else:
+            key, _, val = line.partition(" ")
+            val = val.strip()
+        if key not in PipelineConfig.__dataclass_fields__:
+            raise ConfigError(f"unknown config key '{key}'")
+        out[key] = coerce_field(key, val)
     return out
 
 
@@ -230,8 +234,7 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
             prompts = []
             for p in patches:
                 try:
-                    prompts.append(retrieve_topk(memory, p.astype(np.float32),
-                                                 extractor, cfg.topk))
+                    prompts.append(retrieve_topk(memory, p, extractor, cfg.topk))
                 except DegenerateQueryError:
                     prompts.append(None)  # unconditional fallback
     with _stage("pgs"):

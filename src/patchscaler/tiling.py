@@ -31,7 +31,7 @@ class PatchGrid:
 
 
 def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarray], PatchGrid]:
-    """Split (c, h, w) into row-major overlapping V x V patches."""
+    """Split (c, h, w) into row-major overlapping V x V views of the grid."""
     c, h, w = feature.shape
     if not 0 <= overlap < V:
         raise ConfigError(f"overlap must be in [0, V), got {overlap} for V={V}")
@@ -40,9 +40,8 @@ def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarra
     coords = [(top, left)
               for top in _anchors(h, V, overlap)
               for left in _anchors(w, V, overlap)]
-    patches = [feature[:, top:top + V, left:left + V].copy() for top, left in coords]
     grid = PatchGrid(V=V, coords=tuple(coords), shape=(c, h, w))
-    return patches, grid
+    return [feature[:, top:top + V, left:left + V] for top, left in coords], grid
 
 
 def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:

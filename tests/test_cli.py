@@ -296,6 +296,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert not (tmp_path / "scene").exists()
 
 
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xffpatch 8\n")
+    assert cli.main(["bench", "--size", "32x32", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(cfg) in err
+    # a missing config file is still an i/o error
+    missing = ["bench", "--size", "32x32", "--config", str(tmp_path / "none.cfg")]
+    assert cli.main(missing) == 3
+
+
 @pytest.mark.parametrize("flags", [["--steps", "8,14"], ["--tau", "a,b,c"],
                                    ["--steps", "20,14,8"],
                                    ["--tau", "400,700,2000"],

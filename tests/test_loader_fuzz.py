@@ -1,4 +1,5 @@
-"""File loaders given any byte string return a valid object or raise FormatError."""
+"""File loaders given any byte string return a valid object or raise FormatError;
+the config loader raises ConfigError."""
 import struct
 import tempfile
 from pathlib import Path
@@ -8,19 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchscaler.checkpoint import load_params
-from patchscaler.errors import FormatError
+from patchscaler.errors import ConfigError, FormatError
 from patchscaler.gridio import load_grid
+from patchscaler.pipeline import PipelineConfig, parse_config_file
 from patchscaler.rtm import TextureMemory, load_memory
 
 
-def _load(loader, raw: bytes):
-    """loader's result on a file holding raw, or None if it raised FormatError."""
+def _load(loader, raw: bytes, error=FormatError):
+    """loader's result on a file holding raw, or None if it raised error."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "f"
         path.write_bytes(raw)
         try:
             return loader(path)
-        except FormatError:
+        except error:
             return None
 
 
@@ -106,3 +108,37 @@ def test_load_params_any_bytes(raw):
     if params is not None:
         assert all(isinstance(name, str) and arr.dtype == np.float64
                    for name, arr in params.items())
+
+
+# values stay short (at most 6 characters of free text, integers up to
+# 1100) so a fuzzed T or step count builds a small schedule
+_values = st.one_of(
+    st.integers(-2, 1100).map(str),
+    st.floats().map(str),
+    st.lists(st.integers(-2, 1100), min_size=2, max_size=4).map(
+        lambda v: ",".join(map(str, v))),
+    st.text(max_size=6),
+)
+_config_lines = st.tuples(
+    st.sampled_from(sorted(PipelineConfig.__dataclass_fields__) + ["bogus"]),
+    st.sampled_from([" ", "=", " = "]), _values, st.sampled_from(["", " # note"]),
+).map("".join)
+config_files = st.one_of(
+    st.binary(max_size=64),
+    st.lists(_config_lines, max_size=4).map(lambda lines: "\n".join(lines).encode()),
+    st.tuples(_config_lines, st.binary(max_size=16)).map(
+        lambda lb: lb[0].encode() + b"\n" + lb[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_files)
+# not UTF-8 text
+@example(b"\xffpatch 8\n")
+def test_parse_config_file_any_bytes(raw):
+    fields = _load(parse_config_file, raw, ConfigError)
+    if fields is not None:
+        try:
+            PipelineConfig(**fields)
+        except ConfigError:
+            pass

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from patchscaler.pipeline import (PipelineConfig, benchmark, format_benchmark,
                                   synth_degrade)
 from patchscaler.rtm import TextureExtractor, build_memory
 from patchscaler.tiling import decompose
+
+from test_golden import BandGrm, _lr
 
 
 class FlatGrm:
@@ -131,6 +134,32 @@ def test_superresolve_deterministic():
     assert rep1.total_nfe == rep2.total_nfe
     sr3, _ = superresolve(replace(cfg, seed=6), scene.lr, grm, d)
     assert not np.array_equal(sr1, sr3)
+
+
+class ReadOnlyGrm(BandGrm):
+    """BandGrm whose outputs refuse writes."""
+
+    def __call__(self, y_lr):
+        outs = super().__call__(y_lr)
+        for a in outs:
+            a.setflags(write=False)
+        return outs
+
+
+def test_superresolve_never_writes_into_the_coarse_grid():
+    # decompose's patches are views into the GRM's output: a stage that
+    # wrote into them would raise on read-only outputs, and the run with a
+    # memory (retrieval reads the views too) must keep its bits
+    cfg = PipelineConfig(seed=11)
+    rng = np.random.Generator(np.random.PCG64(3))
+    source = list(rng.standard_normal((8, 1, 16, 16)).astype(np.float32))
+    memory = build_memory(source, TextureExtractor((1, 16, 16), seed=0), 4)
+    denoiser = GaussianOracleDenoiser(GaussianOracleStats(0.0, 0.5), cfg.schedule())
+    digests = []
+    for grm in (BandGrm(), ReadOnlyGrm()):
+        sr, _ = superresolve(cfg, _lr(1, 32, 32), grm, denoiser, memory)
+        digests.append(hashlib.sha256(sr.tobytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_superresolve_uniform_confidence_is_all_simple():

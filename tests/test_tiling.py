@@ -10,6 +10,8 @@ def test_decompose_no_overlap():
     patches, grid = decompose(grid_in, 4, 0)
     assert grid.coords == ((0, 0), (0, 4), (4, 0), (4, 4))
     assert np.array_equal(patches[1], grid_in[:, 0:4, 4:8])
+    # the patches are views into the grid, not copies
+    assert all(np.shares_memory(p, grid_in) for p in patches)
 
 
 def test_decompose_overlap_stride():
