@@ -52,6 +52,17 @@ def _positive_int(text: str) -> int:
     return val
 
 
+def _fraction(text: str) -> float:
+    """argparse type for a share: a finite value in [0, 1]."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from None
+    if not 0.0 <= val <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return val
+
+
 def _size(text: str) -> tuple[int, int]:
     """argparse type for an HxW scene size of two positive integers."""
     try:
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--size", type=_size, default="64x64")
     p.add_argument("--channels", type=_positive_int, default=1)
-    p.add_argument("--texture-frac", type=float, default=0.5)
+    p.add_argument("--texture-frac", type=_fraction, default=0.5)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-grm", help="train the toy coarse restorer")
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--size", type=_size, default="96x96")
     p.add_argument("--channels", type=_positive_int, default=1)
-    p.add_argument("--texture-frac", type=float, default=0.5)
+    p.add_argument("--texture-frac", type=_fraction, default=0.5)
     p.add_argument("--repeats", type=_positive_int, default=1)
     p.add_argument("--grm", help="GRM checkpoint")
     p.add_argument("--dit", help="Patch-DiT checkpoint; without it the oracle denoises")

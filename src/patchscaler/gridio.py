@@ -42,13 +42,11 @@ def load_grid(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").reshape(c, h, w).copy()
 
 
-def export_pnm(path, grid: np.ndarray, lo: float | None = None,
-               hi: float | None = None):
+def export_pnm(path, grid: np.ndarray):
     """8-bit PGM (1 channel) or PPM (3 channels) for quick visual checks."""
     if grid.ndim != 3 or grid.shape[0] not in (1, 3):
         raise GridShapeError("PNM export needs a (1|3, h, w) grid")
-    lo = float(grid.min()) if lo is None else lo
-    hi = float(grid.max()) if hi is None else hi
+    lo, hi = float(grid.min()), float(grid.max())
     span = hi - lo if hi > lo else 1.0
     img = np.clip((grid - lo) / span * 255.0, 0, 255).astype(np.uint8)
     c, h, w = img.shape

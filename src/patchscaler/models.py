@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import CONF_FLOOR, LossParams, confidence_loss_and_grads
+from .confidence import CONF_FLOOR, confidence_loss_and_grads
 from .errors import ConfigError, GridShapeError, NumericError
 from .schedule import NoiseSchedule, forward_sample
 
@@ -475,13 +475,12 @@ class GlobalRestorer:
     def __call__(self, y_lr: np.ndarray):
         return self.forward(y_lr)
 
-    def loss_and_grads(self, y_lr: np.ndarray, x_hr: np.ndarray,
-                       p_loss: LossParams = LossParams()):
+    def loss_and_grads(self, y_lr: np.ndarray, x_hr: np.ndarray):
         """Confidence-driven loss through both heads, with parameter grads."""
         p = self.params
         y_hr, conf, cache = self.forward(y_lr, want_cache=True)
         x, h1, h2, sig = cache
-        loss, d_y, d_c = confidence_loss_and_grads(y_hr, x_hr, conf, p_loss)
+        loss, d_y, d_c = confidence_loss_and_grads(y_hr, x_hr, conf)
 
         grads = {k: np.zeros_like(v) for k, v in p.items()}
         # confidence head
@@ -509,23 +508,23 @@ class GlobalRestorer:
 # training
 
 class Adam:
-    def __init__(self, params: dict, lr: float = 1e-3, b1: float = 0.9,
-                 b2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-3):
+        self.params, self.lr = params, lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - self.B1 ** self.t
+        bc2 = 1.0 - self.B2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
+            self.m[k] = self.B1 * self.m[k] + (1.0 - self.B1) * g
+            self.v[k] = self.B2 * self.v[k] + (1.0 - self.B2) * g * g
             self.params[k] -= self.lr * (self.m[k] / bc1) / (
-                np.sqrt(self.v[k] / bc2) + self.eps)
+                np.sqrt(self.v[k] / bc2) + self.EPS)
 
 
 def train_toy(params: dict, objective, steps: int, lr: float = 1e-3,
@@ -549,12 +548,11 @@ def train_toy(params: dict, objective, steps: int, lr: float = 1e-3,
     return trace
 
 
-def make_grm_objective(model: GlobalRestorer, pair_sampler,
-                       p_loss: LossParams = LossParams()):
+def make_grm_objective(model: GlobalRestorer, pair_sampler):
     """objective for train_toy: pair_sampler(rng) -> (y_lr, x_hr)."""
     def objective(rng):
         y_lr, x_hr = pair_sampler(rng)
-        return model.loss_and_grads(y_lr, x_hr, p_loss)
+        return model.loss_and_grads(y_lr, x_hr)
     return objective
 
 

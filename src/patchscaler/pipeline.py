@@ -98,7 +98,10 @@ def coerce_field(key: str, val: str):
         if key in ("taus", "steps"):
             parts = tuple(int(p) for p in val.split(","))
         elif key == "colornorm":
-            return val.lower() in ("1", "true", "yes", "on")
+            word = val.lower()
+            if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise ValueError(val)
+            return word in ("1", "true", "yes", "on")
         elif key in ("gamma1", "gamma2", "beta_start", "beta_end"):
             return float(val)
         else:
@@ -206,14 +209,15 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     """Full restoration pass; returns (sr_image, PgsReport).
 
     Stages: upsample -> coarse restore -> quantified map -> per-patch
-    retrieval -> grouped sampling -> recompose -> wavelet color
-    normalization.  A memory given without an extractor is queried with
-    the one it was built with, memory.extractor().
+    retrieval -> grouped sampling -> recompose -> color fix, which gives
+    each 2^levels block of the output lr_up's block mean (the Haar low-band
+    swap).  A memory given without an extractor is queried with the one it
+    was built with, memory.extractor().
     """
     schedule = cfg.schedule()
     with _stage("upsample"):
         lr_up = nearest_upsample(lr_image, cfg.factor)
-        # the Haar color fix needs sides divisible by 2**levels
+        # the color fix needs sides divisible by 2**levels
         lr_up, orig = _pad_to_multiple(lr_up, 1 << cfg.levels)
     with _stage("grm"):
         y_hr, conf = grm(lr_up)

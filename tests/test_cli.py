@@ -315,6 +315,7 @@ def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
                                    ["--config", "levels -1"],
                                    ["--config", "levels 0"],
                                    ["--config", "beta_end 2.0"],
+                                   ["--config", "colornorm banana"],
                                    ["--steps", "0,14,20"]])
 def test_bad_group_flags_fail_at_parse_time(tmp_path, capsys, flags):
     # the input file is missing, so exit 2 (not 3) shows the config was
@@ -470,6 +471,19 @@ def test_count_flags_must_be_positive_at_parse_time(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--out", "scene"], ["bench"]])
+@pytest.mark.parametrize("frac", ["nan", "-1", "2.5", "abc", "inf"])
+def test_texture_frac_must_be_a_fraction_at_parse_time(command, frac, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--texture-frac", frac])
+    assert exc.value.code == 2
+    assert "error: argument --texture-frac" in capsys.readouterr().err
+
+
+def test_texture_frac_takes_both_ends():
+    assert cli._fraction("0") == 0.0 and cli._fraction("1") == 1.0
 
 
 def test_cli_overrides_reach_pipeline(tmp_path, capsys):

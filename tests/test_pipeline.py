@@ -12,10 +12,10 @@ from patchscaler.errors import (ConfigError, GridShapeError,
 from patchscaler.gridio import export_pnm, load_grid, save_grid
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 GlobalRestorer, PatchDiT)
-from patchscaler.pipeline import (PipelineConfig, benchmark, format_benchmark,
-                                  make_scene, nearest_upsample,
-                                  parse_config_file, superresolve,
-                                  synth_degrade)
+from patchscaler.pipeline import (PipelineConfig, benchmark, coerce_field,
+                                  format_benchmark, make_scene,
+                                  nearest_upsample, parse_config_file,
+                                  superresolve, synth_degrade)
 from patchscaler.rtm import TextureExtractor, build_memory
 from patchscaler.tiling import decompose
 
@@ -78,6 +78,13 @@ def test_config_validation_and_builders():
     assert cfg.schedule().T == 1000
 
 
+@pytest.mark.parametrize("word, value", [
+    *((w, True) for w in ("1", "true", "YES", "On")),
+    *((w, False) for w in ("0", "False", "no", "OFF"))])
+def test_colornorm_words(word, value):
+    assert coerce_field("colornorm", word) is value
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -97,7 +104,8 @@ def test_parse_config_file(tmp_path):
     bad.write_text("no_such_key 1\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
-    for text in ("taus 1,2\n", "taus a,b,c\n", "patch abc\n"):
+    for text in ("taus 1,2\n", "taus a,b,c\n", "patch abc\n",
+                 "colornorm banana\n", "colornorm 1.0\n", "colornorm\n"):
         bad.write_text(text)
         with pytest.raises(ConfigError):
             parse_config_file(bad)
