@@ -39,7 +39,9 @@ def _read(f, n: int, what: str) -> bytes:
 
 def load_params(path) -> dict:
     """Read a checkpoint back as float64 arrays (float32-valued)."""
-    with open(path, "rb") as f:
+    # a signalling NaN loads as a quiet one, for the numeric checks
+    # downstream, rather than warn in the float64 cast
+    with open(path, "rb") as f, np.errstate(invalid="ignore"):
         if f.read(4) != _MAGIC:
             raise MagicMismatchError(f"not a {_MAGIC.decode()} checkpoint")
         version, count = struct.unpack("<II", _read(f, 8, "checkpoint header"))

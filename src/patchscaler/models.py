@@ -11,6 +11,9 @@ can be checked against central finite differences; PatchDiT inference
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,47 +369,113 @@ def _channels_last(a):
     return a.transpose(1, 2, 0).copy().transpose(2, 0, 1)
 
 
-def _conv3x3_forward(x, w, b, out=None):
-    # im2col + GEMM in bands of max(1, 4096 // width) output rows, about 4096
-    # cells: the fastest band size probed at 512x512, where the whole column
-    # matrix would take ~300 MB.  Each band fills one reused channels-first
-    # (c, 3, 3, rows, width) column buffer with the nine shifted slices of x
-    # itself, and zeros where a shift reaches the 1-cell halo past its first
-    # or last row or column, so no padded copy of x is made.  The GEMM stays
-    # (cells, 9c) @ (9c, f), on a transposed view of the buffer, so the
-    # (c, di, dj) reduction runs through the BLAS kernels of a plain im2col
-    # product and banding leaves the bits alone.  The faster
+# Threads the GRM convs split their bands among: every CPU this process may
+# use.  The pool holds _WORKERS - 1 of them, as the calling thread runs one
+# share itself, and is made on first use.  A grid of fewer cells than
+# _MIN_THREADED_CELLS (256x256) stays on the calling thread: its conv takes
+# a few ms, and in 50 s benchmark runs at 96x96 (2 vCPUs) a process whose
+# conv had used the second thread read about +10% per image and +37% on
+# set-up against one that had not.
+_WORKERS = len(os.sched_getaffinity(0))
+_MIN_THREADED_CELLS = 1 << 16
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _conv_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="grm-conv")
+        return _pool
+
+
+def _conv3x3_forward(x, w, b, out=None, tanh=False):
+    # im2col + GEMM in bands of output rows, run by k threads, k = _WORKERS
+    # (1 on a small grid, see above) capped at the band count: k - 1 runs go
+    # to the pool and the calling thread makes the last.  Each run takes the
+    # next band not yet taken until none is left, so a thread the OS leaves
+    # waiting holds up at most the band it is on, and a run the pool has not
+    # started when the bands run out is cancelled.  A band holds
+    # max(1, 4096 // (width * k)) rows, so the k column buffers together
+    # stay near 4096 cells, the fastest single band probed at 512x512, where
+    # the whole column matrix would take ~300 MB.  The caller allocates
+    # every buffer: one a worker allocates lands in that thread's malloc
+    # arena and is not reused.
+    # Each run copies a band's rows of x, and the row above and below, into
+    # its zero-bordered row buffer, and fills its channels-first
+    # (c, 3, 3, rows, width) column buffer from that buffer's 3x3 windows
+    # in one copy.  The GEMM stays (cells, 9c) @ (9c, f), on a transposed
+    # view of the column buffer, so the (c, di, dj) reduction runs through
+    # the BLAS kernels of a plain im2col product, and neither the band
+    # height nor the thread that runs a band moves the bits.  The faster
     # (f, 9c) @ (9c, cells) runs a band's trailing cells through other
     # kernels and changes bits; so does a band of under ~75 cells with
     # c >= 4 here, as OpenBLAS picks its small-matrix kernel by operand
-    # layout.  Each band's (cells, f) result goes, bias added, into the
-    # (f, h, w) output while still in cache: out if given, of any memory
-    # layout, else a new C-contiguous array.
+    # layout (every band of a grid 75 or more wide has at least 75 cells).
+    # Each band's (cells, f) result gets the bias, and with tanh=True the
+    # tanh, while still in cache, and goes into the (f, h, w) output: out if
+    # given, of any memory layout, else a new C-contiguous array.  The
+    # threads run only _conv_bands, which a tracer does not wrap.
     c, h_, w_ = x.shape
     f = len(w)
     wt = w.reshape(f, c * 9).T
     y = np.empty((f, h_, w_)) if out is None else out
-    band = max(1, 4096 // w_)
-    buf = np.empty(c * 9 * min(band, h_) * w_)
-    o = np.empty((min(band, h_) * w_, f))
-    for r in range(0, h_, band):
+    k = _WORKERS if h_ * w_ >= _MIN_THREADED_CELLS else 1
+    band = max(1, 4096 // (w_ * k))
+    k = max(1, min(k, -(-h_ // band)))
+    rows = min(band, h_)
+    xbs = np.zeros((k, c, rows + 2, w_ + 2))
+    bufs = np.empty((k, c * 9 * rows * w_))
+    outs = np.empty((k, rows * w_, f))
+    # shared by the runs; next() on it is one C call, atomic under the GIL
+    starts = iter(range(0, h_, band))
+    runs = [(x, wt, b, y, starts, band, xbs[i], bufs[i], outs[i], tanh) for i in range(k)]
+    if k == 1:
+        _conv_bands(*runs[0])
+        return y
+    pool = _conv_pool()
+    futures = [pool.submit(_conv_bands, *run) for run in runs[:-1]]
+    try:
+        _conv_bands(*runs[-1])
+    finally:
+        # a run still queued is cancelled: waiting would last until the
+        # pool's thread takes it up
+        wait([fut for fut in futures if not fut.cancel()])
+    for fut in futures:
+        if not fut.cancelled():
+            fut.result()
+    return y
+
+
+def _conv_bands(x, wt, b, y, starts, band, xb, buf, o, tanh):
+    """The bands of _conv3x3_forward that start at the rows it takes from
+    starts, one at a time: rows of x into xb, their 3x3 windows into buf,
+    the GEMM into o and the result into y."""
+    c, h_, w_ = x.shape
+    f = wt.shape[1]
+    # win[:, di, dj, i, j] is xb[:, i + di, j + dj], band row i's window on
+    # x row r + i + di - 1 and column j + dj - 1
+    s0, s1, s2 = xb.strides
+    win = np.lib.stride_tricks.as_strided(xb, (c, 3, 3, xb.shape[1] - 2, w_),
+                                          (s0, s1, s2, s1, s2))
+    for r in starts:
         bh = min(band, h_ - r)
         n = bh * w_
+        # xb row i holds x row r + i - 1, zero past either end of x; its
+        # first and last columns stay zero
+        lo, hi = max(0, 1 - r), min(bh + 2, h_ + 1 - r)
+        xb[:, :lo] = 0.0
+        xb[:, lo:hi, 1:-1] = x[:, r + lo - 1:r + hi - 1]
+        xb[:, hi:bh + 2] = 0.0
         cols = buf[:c * 9 * n].reshape(c, 3, 3, bh, w_)
-        for di in range(3):
-            # band row i reads x row r + i + di - 1; rows outside x are halo
-            lo, hi = max(0, 1 - r - di), min(bh, h_ + 1 - r - di)
-            cols[:, di, :, :lo] = 0.0
-            cols[:, di, :, hi:] = 0.0
-            rows = x[:, r + lo + di - 1:r + hi + di - 1]
-            cols[:, di, 0, lo:hi, 1:] = rows[:, :, :w_ - 1]
-            cols[:, di, 0, lo:hi, 0] = 0.0
-            cols[:, di, 1, lo:hi] = rows
-            cols[:, di, 2, lo:hi, :w_ - 1] = rows[:, :, 1:]
-            cols[:, di, 2, lo:hi, w_ - 1] = 0.0
-        np.matmul(cols.reshape(c * 9, n).T, wt, out=o[:n])
-        np.add(o[:n].T.reshape(f, bh, w_), b[:, None, None], out=y[:, r:r + bh])
-    return y
+        cols[...] = win[:, :, :, :bh]
+        ob = o[:n]
+        np.matmul(cols.reshape(c * 9, n).T, wt, out=ob)
+        ob += b
+        if tanh:
+            np.tanh(ob, out=ob)
+        y[:, r:r + bh] = ob.T.reshape(f, bh, w_)
 
 
 def _conv3x3_backward(dy, x, w):
@@ -452,8 +521,7 @@ class GlobalRestorer:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
         x = y_lr.astype(np.float64)
-        h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"])
-        np.tanh(h1, out=h1)
+        h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"], tanh=True)
         # einsum's summation order in the heads, and the backward's in
         # training, follow the memory layout of h2 and h1: both stay in the
         # channels-last layout the checkpoint and golden digests were made
@@ -461,8 +529,7 @@ class GlobalRestorer:
         # h2 straight into that layout; only the training cache copies h1.
         _, h, w = x.shape
         h2 = np.empty((h, w, len(p["conv2.w"]))).transpose(2, 0, 1)
-        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], out=h2)
-        np.tanh(h2, out=h2)
+        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], out=h2, tanh=True)
         feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
         y_hr = x + feat
         z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]

@@ -17,6 +17,14 @@ def _anchors(size: int, V: int, overlap: int) -> list[int]:
     return starts
 
 
+def _window_counts(starts, V: int, size: int) -> np.ndarray:
+    """How many of the V-wide windows at starts cover each of size indices."""
+    counts = np.zeros(size)
+    for s in starts:
+        counts[s:s + V] += 1.0
+    return counts
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     """Anchor layout of overlapping V x V windows over a (c, h, w) grid."""
@@ -52,10 +60,16 @@ def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     if patches.shape != (grid.count, c, V, V):
         raise GridShapeError(f"expected patches {(grid.count, c, V, V)}, got {patches.shape}")
     acc = np.zeros((c, h, w), dtype=np.float64)
-    cover = np.zeros((h, w), dtype=np.float64)
     for (top, left), p in zip(grid.coords, patches):
         acc[:, top:top + V, left:left + V] += p
-        cover[top:top + V, left:left + V] += 1.0
+    # a decompose grid holds every pair of its distinct row and column
+    # anchors once, so its coverage is the outer product of the windows over
+    # each row and over each column
+    tops = {top for top, _ in grid.coords}
+    lefts = {left for _, left in grid.coords}
+    if not len(grid.coords) == len(set(grid.coords)) == len(tops) * len(lefts):
+        raise GridShapeError("patch grid is not every pair of its row and column anchors")
+    cover = np.outer(_window_counts(tops, V, h), _window_counts(lefts, V, w))
     if np.any(cover == 0):
         raise GridShapeError("patch grid does not cover the source grid")
     out = acc * (1.0 / cover)[None, :, :]

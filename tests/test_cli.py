@@ -402,6 +402,25 @@ def test_nan_input_is_numeric_error_at_grm(tmp_path, capsys):
     assert "stage 'grm' failed" in err and "confidence map is not finite" in err
 
 
+def test_signalling_nan_checkpoint_is_numeric_error_at_grm(tmp_path, capsys):
+    # a float32 signalling NaN (bytes 01 00 80 7f) in the confidence head
+    # loads without a warning and fails where a quiet NaN does
+    grm = GlobalRestorer(channels=1, hidden=4, seed=0)
+    grm.params["conf.w"][0] = 1234.5
+    ckpt = tmp_path / "snan.psck"
+    save_params(ckpt, grm.params)
+    raw, mark = ckpt.read_bytes(), np.float32(1234.5).tobytes()
+    assert raw.count(mark) == 1
+    ckpt.write_bytes(raw.replace(mark, bytes.fromhex("0100807f")))
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.zeros((1, 16, 16), np.float32))
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(tmp_path / "out.psg"),
+                   "--grm", str(ckpt)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "stage 'grm' failed" in err and "confidence map is not finite" in err
+
+
 def test_grm_checkpoint_of_other_channel_count_exits_3_at_grm(tmp_path, capsys):
     ckpt = tmp_path / "grm.psck"
     save_params(ckpt, GlobalRestorer(channels=1, hidden=4, seed=0).params)

@@ -103,6 +103,11 @@ checkpoint_files = st.one_of(
 @example(b"PSCK" + struct.pack("<II", 2, 0))
 @example(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w"
          + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1))
+# a section name that is not UTF-8
+@example(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"\xff")
+# a float32 signalling NaN, which loads as a quiet NaN without a warning
+@example(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BI", 1, 1)
+         + bytes.fromhex("0100807f"))
 def test_load_params_any_bytes(raw):
     params = _load(load_params, raw)
     if params is not None:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -252,8 +255,9 @@ def _conv3x3_reference(x, w, b):
     return y.reshape(h, wd, len(w)).transpose(2, 0, 1)
 
 
-# bands of 4096 // width rows: 40 rows for width 100 and 13 for width 300,
-# neither dividing the height; width 48 fits a 48-row input in one band;
+# with one worker, bands of 4096 // width rows (more workers split them
+# further): 40 rows for width 100 and 13 for width 300, neither dividing the
+# height; width 48 fits a 48-row input in one band;
 # width 4100 > 4096 gives one-row bands; 3 channels at width 150 end in a
 # 300-cell band, which the (f, 9c) @ (9c, cells) GEMM gets wrong in the bits.
 # The halo: one row, where a band's first row is also its last; one and two
@@ -284,6 +288,148 @@ def test_conv_writes_every_cell_of_a_channels_last_out():
     y = _conv3x3_forward(x, w, b, out=out)
     assert y is out
     assert np.array_equal(out, _conv3x3_reference(x, w, b))
+
+
+@pytest.fixture(params=[1, 2, 3, 4])
+def conv_workers(request, monkeypatch):
+    # the conv's worker count, with a pool of its own made on first use
+    monkeypatch.setattr(models, "_WORKERS", request.param)
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    monkeypatch.setattr(models, "_pool", None)
+    yield request.param
+    if models._pool is not None:
+        models._pool.shutdown()
+
+
+def _serial_conv(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(models, "_WORKERS", 1)
+        return _conv3x3_forward(*args, **kwargs)
+
+
+# the two GRM golden inputs; a 512x512 GRM hidden layer; a grid inside one
+# band (20 rows, 30 wide); a short last band after full ones at every worker
+# count (81 rows at width 100); width 1 (3000 rows); and the channels-last
+# out= view conv2 writes
+@pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (16, 512, 512),
+                                   (16, 20, 30), (16, 81, 100), (16, 3000, 1),
+                                   "channels-last"])
+def test_threaded_conv_keeps_the_serial_bits(shape, conv_workers, monkeypatch):
+    last = shape == "channels-last"
+    if last:
+        shape = (16, 29, 150)
+    rng = np.random.Generator(np.random.PCG64(14))
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((16, shape[0], 3, 3))
+    b = rng.standard_normal(16)
+    ref = _serial_conv(monkeypatch, x, w, b)
+
+    def out():
+        return np.full(shape[1:] + (16,), np.nan).transpose(2, 0, 1) if last else None
+    y = _conv3x3_forward(x, w, b, out=out())
+    assert np.array_equal(y, ref)
+    assert np.array_equal(_conv3x3_forward(x, w, b, out=out(), tanh=True), np.tanh(ref))
+
+
+def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
+    # 8 threads on 94 bands of 32 rows take turns every microsecond: a band
+    # no thread takes leaves NaN in out, and threads sharing a buffer garble it
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    monkeypatch.setattr(models, "_WORKERS", 8)
+    monkeypatch.setattr(models, "_pool", None)
+    rng = np.random.Generator(np.random.PCG64(17))
+    x, w, b = rng.standard_normal((1, 3000, 16)), rng.standard_normal((16, 1, 3, 3)), np.zeros(16)
+    ref = _serial_conv(monkeypatch, x, w, b)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            out = np.full((3000, 16, 16), np.nan).transpose(2, 0, 1)
+            _conv3x3_forward(x, w, b, out=out, tanh=True)
+            assert np.array_equal(out, np.tanh(ref))
+    finally:
+        sys.setswitchinterval(interval)
+        models._pool.shutdown()
+
+
+def test_conv_makes_no_pool_for_one_worker_one_band_or_a_small_grid(monkeypatch):
+    monkeypatch.setattr(models, "_pool", None)
+    w, b = np.ones((4, 1, 3, 3)), np.zeros(4)
+    monkeypatch.setattr(models, "_WORKERS", 4)
+    _conv3x3_forward(np.ones((1, 96, 96)), w, b)  # 9216 cells < 256 * 256
+    assert models._pool is None
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    _conv3x3_forward(np.ones((1, 20, 30)), w, b)  # 20 rows, one band of 34
+    monkeypatch.setattr(models, "_WORKERS", 1)
+    _conv3x3_forward(np.ones((1, 100, 100)), w, b)
+    assert models._pool is None
+
+
+def test_grm_forward_from_two_threads_at_once(conv_workers, monkeypatch):
+    grm = GlobalRestorer(channels=1, hidden=16, seed=0)
+    rng = np.random.Generator(np.random.PCG64(15))
+    inputs = [rng.standard_normal((1, 96, 200)), rng.standard_normal((1, 70, 300))]
+    with monkeypatch.context() as m:
+        m.setattr(models, "_WORKERS", 1)
+        expected = [grm.forward(x) for x in inputs]
+    start = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def run(i):
+        for _ in range(3):
+            start.wait()
+            got[i].append(grm.forward(inputs[i]))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for exp, outs in zip(expected, got):
+        assert len(outs) == 3
+        for y_hr, conf in outs:
+            assert np.array_equal(y_hr, exp[0]) and np.array_equal(conf, exp[1])
+
+
+def test_conv_does_not_wait_for_a_busy_pool(monkeypatch):
+    # with the pool's one thread held, the calling thread runs every band,
+    # and the run still queued is cancelled rather than waited for
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    pool = models.ThreadPoolExecutor(1)
+    monkeypatch.setattr(models, "_pool", pool)
+    release = threading.Event()
+    busy = pool.submit(release.wait, 30)
+    rng = np.random.Generator(np.random.PCG64(16))
+    x, w, b = rng.standard_normal((3, 50, 200)), rng.standard_normal((16, 3, 3, 3)), np.zeros(16)
+    try:
+        y = _conv3x3_forward(x, w, b)
+        assert not busy.done()
+    finally:
+        release.set()
+        pool.shutdown()
+    assert np.array_equal(y, _serial_conv(monkeypatch, x, w, b))
+
+
+def test_conv_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    monkeypatch.setattr(models, "_pool", None)
+    bands, caller = models._conv_bands, threading.current_thread()
+    failed = threading.Event()
+
+    def pool_run_fails(*args):
+        if threading.current_thread() is caller:
+            assert failed.wait(30)  # the pool's run fails before this one starts
+            return bands(*args)
+        try:
+            raise MemoryError("band failed")
+        finally:
+            failed.set()
+    monkeypatch.setattr(models, "_conv_bands", pool_run_fails)
+    with pytest.raises(MemoryError, match="band failed"):
+        _conv3x3_forward(np.ones((1, 100, 100)), np.ones((4, 1, 3, 3)), np.zeros(4))
+    models._pool.shutdown()
 
 
 def test_grm_forward_contract():
