@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from patchscaler import pgs
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import ConfigError
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
@@ -151,6 +154,67 @@ def test_run_group_errors(schedule1000):
         run_group(d, schedule1000, patches, 400, 8, prompts=[None])
     with pytest.raises(ConfigError):
         run_group(d, schedule1000, patches, 400, 8, indices=[0])
+
+
+@pytest.mark.parametrize("seed, indices", [(-1, [0, 1]), (3, [0, -2])])
+def test_run_group_rejects_negative_seed_or_index(schedule1000, seed, indices):
+    rng = np.random.Generator(np.random.PCG64(14))
+    with pytest.raises(ConfigError):
+        run_group(_oracle(schedule1000), schedule1000, _patches(rng, 2), 400, 8,
+                  seed=seed, indices=indices)
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**256 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+@example(0, [0, 2**32 - 1])
+@example(7, [0, 2**32 - 1])
+@example(2**33 + 5, [0, 2**32 - 1])
+@example(2**100 + 1, [0, 2**32 - 1])
+def test_seed_words_match_seed_sequence(seed, indices):
+    got = pgs._seed_words(seed, np.array(indices, np.uint32))
+    ref = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+           for i in indices]
+    assert got.dtype == np.uint64 and np.array_equal(got, ref)
+
+
+def test_large_indices_draw_seed_sequence_noise(schedule1000):
+    # indices of 2^32 and up hash two entropy words and take the per-patch
+    # path; every patch still draws its own SeedSequence([seed, i]) stream
+    indices = [0, 2**32, 2**40 + 3, 5]
+    eps = np.empty((4, 2, 3, 3))
+    pgs._patch_rng(19, indices, eps)
+    for e, i in zip(eps, indices, strict=True):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([19, i])))
+        assert np.array_equal(e, ref.standard_normal(e.shape))
+    rng = np.random.Generator(np.random.PCG64(15))
+    patches = _patches(rng, 4)
+    d = _oracle(schedule1000)
+    got = run_group(d, schedule1000, patches, 400, 8, seed=19, indices=indices)
+    ref = _serial_run_group(lambda x, t, prompt: d(x, t), schedule1000, patches,
+                            400, 8, [None] * 4, 19, indices)
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_patch_rng_called_once_per_nonempty_group(schedule1000, monkeypatch):
+    # perfbench traces pgs._patch_rng by name as pgs.rng_ms, so it must stay
+    # a module-level function that run_group calls once per group
+    calls = []
+    fill = pgs._patch_rng
+
+    def counted(seed, indices, out):
+        calls.append(len(out))
+        fill(seed, indices, out)
+
+    monkeypatch.setattr(pgs, "_patch_rng", counted)
+    rng = np.random.Generator(np.random.PCG64(16))
+    patches = _patches(rng, 5)
+    run_pgs(_oracle(schedule1000), schedule1000, patches, [S, H, S, S, H],
+            TAUS, STEPS)
+    assert calls == [3, 2]
 
 
 def test_shallower_start_helps_good_estimates(schedule1000):
