@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -131,11 +132,15 @@ def cmd_gen_data(args):
     return 0
 
 
-def _scene_pair_sampler(cfg: PipelineConfig, channels: int, crop: int = 48):
+def _scene_pair_sampler(cfg: PipelineConfig, channels: int):
+    # square crops of the smallest side of at least 48 that both the patch
+    # size and the factor divide, textured in tiles of the patch size
+    step = math.lcm(cfg.patch, cfg.factor)
+    crop = -(-48 // step) * step
+
     def sampler(rng):
         scene = make_scene(crop, crop, seed=int(rng.integers(1 << 31)),
-                           channels=channels, patch=cfg.patch if cfg.patch <= crop else crop,
-                           factor=cfg.factor)
+                           channels=channels, patch=cfg.patch, factor=cfg.factor)
         lr_up = pipeline.nearest_upsample(scene.lr, cfg.factor)
         return lr_up, scene.hr
     return sampler

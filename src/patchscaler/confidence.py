@@ -72,10 +72,11 @@ def confidence_loss_and_grads(y_hr: np.ndarray, x_hr: np.ndarray,
 def build_qmap(c: np.ndarray, grid: PatchGrid, th: Thresholds) -> list[GroupLabel]:
     """Label each patch by the mean confidence of its window: Simple in
     (gamma1, 1], Medium in (gamma2, gamma1], Hard in [0, gamma2]."""
-    if c.shape[1:] != grid.shape[1:]:
-        raise GridShapeError(f"confidence map {c.shape} does not match grid {grid.shape}")
-    tops, lefts = np.array(grid.coords).T
-    means = sliding_window_view(c[0], (grid.V, grid.V))[tops, lefts].mean(axis=(1, 2))
+    if c.shape != (1,) + grid.shape[1:]:
+        raise GridShapeError(f"confidence map {c.shape} is not one channel over "
+                             f"grid {grid.shape}")
+    windows = sliding_window_view(c[0], (grid.V, grid.V))[np.ix_(grid.tops, grid.lefts)]
+    means = windows.mean(axis=(2, 3)).ravel()
     if not np.all((means >= 0.0) & (means <= 1.0)):  # a NaN fails too
         raise ConfigError(f"mean confidence outside [0, 1]: min {means.min()}, "
                           f"max {means.max()}")

@@ -38,7 +38,10 @@ def build_linear_schedule(T: int, beta_start: float = 1e-4,
         raise ConfigError("T must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError("betas must satisfy 0 < beta_start <= beta_end < 1")
-    betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    try:
+        betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    except (MemoryError, ValueError) as e:  # numpy refuses tables this long
+        raise ConfigError(f"T={T} is too large for the noise schedule tables: {e}") from e
     alphas = 1.0 - betas
     alpha_bars = np.concatenate(([1.0], np.cumprod(alphas)))
     return NoiseSchedule(

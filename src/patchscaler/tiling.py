@@ -8,12 +8,11 @@ import numpy as np
 from .errors import ConfigError, GridShapeError
 
 
-def _anchors(size: int, V: int, overlap: int) -> list[int]:
-    stride = V - overlap
-    starts = list(range(0, size - V + 1, stride))
+def _anchors(size: int, V: int, overlap: int) -> tuple[int, ...]:
+    starts = tuple(range(0, size - V + 1, V - overlap))
     if starts[-1] != size - V:
         # clamp the last window so it stays inside the grid
-        starts.append(size - V)
+        starts += (size - V,)
     return starts
 
 
@@ -27,15 +26,21 @@ def _window_counts(starts, V: int, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Anchor layout of overlapping V x V windows over a (c, h, w) grid."""
+    """Overlapping V x V windows over a (c, h, w) grid: one at each pair of a
+    row anchor in tops and a column anchor in lefts, in row-major order."""
 
     V: int
-    coords: tuple[tuple[int, int], ...]
+    tops: tuple[int, ...]
+    lefts: tuple[int, ...]
     shape: tuple[int, int, int]
 
     @property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        return tuple((top, left) for top in self.tops for left in self.lefts)
+
+    @property
     def count(self) -> int:
-        return len(self.coords)
+        return len(self.tops) * len(self.lefts)
 
 
 def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarray], PatchGrid]:
@@ -45,11 +50,8 @@ def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarra
         raise ConfigError(f"overlap must be in [0, V), got {overlap} for V={V}")
     if h < V or w < V:
         raise GridShapeError(f"grid {h}x{w} smaller than patch size {V}")
-    coords = [(top, left)
-              for top in _anchors(h, V, overlap)
-              for left in _anchors(w, V, overlap)]
-    grid = PatchGrid(V=V, coords=tuple(coords), shape=(c, h, w))
-    return [feature[:, top:top + V, left:left + V] for top, left in coords], grid
+    grid = PatchGrid(V, _anchors(h, V, overlap), _anchors(w, V, overlap), (c, h, w))
+    return [feature[:, top:top + V, left:left + V] for top, left in grid.coords], grid
 
 
 def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
@@ -62,14 +64,9 @@ def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     acc = np.zeros((c, h, w), dtype=np.float64)
     for (top, left), p in zip(grid.coords, patches):
         acc[:, top:top + V, left:left + V] += p
-    # a decompose grid holds every pair of its distinct row and column
-    # anchors once, so its coverage is the outer product of the windows over
-    # each row and over each column
-    tops = {top for top, _ in grid.coords}
-    lefts = {left for _, left in grid.coords}
-    if not len(grid.coords) == len(set(grid.coords)) == len(tops) * len(lefts):
-        raise GridShapeError("patch grid is not every pair of its row and column anchors")
-    cover = np.outer(_window_counts(tops, V, h), _window_counts(lefts, V, w))
+    # every row anchor pairs with every column anchor, so the coverage is the
+    # outer product of the windows over each row and over each column
+    cover = np.outer(_window_counts(grid.tops, V, h), _window_counts(grid.lefts, V, w))
     if np.any(cover == 0):
         raise GridShapeError("patch grid does not cover the source grid")
     out = acc * (1.0 / cover)[None, :, :]

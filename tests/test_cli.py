@@ -10,6 +10,7 @@ from patchscaler import cli
 from patchscaler.checkpoint import save_params
 from patchscaler.gridio import load_grid, save_grid
 from patchscaler.models import GlobalRestorer, PatchDiT
+from patchscaler.pipeline import PipelineConfig, make_scene, nearest_upsample
 from patchscaler.rtm import (TextureExtractor, TextureMemory, build_memory,
                              load_memory, save_memory)
 from patchscaler.tiling import decompose
@@ -63,6 +64,30 @@ def test_train_grm_and_sr_roundtrip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "nfe_total" in text and "ratio" in text
 
+
+def test_scene_pair_sampler_crops_to_the_patch_size_and_factor():
+    # at the default patch 16 and factor 2 the crop stays 48x48, so training
+    # draws the scenes it drew before
+    cfg = PipelineConfig()
+    lr_up, hr = cli._scene_pair_sampler(cfg, 1)(np.random.Generator(np.random.PCG64(7)))
+    seed = int(np.random.Generator(np.random.PCG64(7)).integers(1 << 31))
+    scene = make_scene(48, 48, seed=seed, patch=16, factor=2)
+    assert np.array_equal(hr, scene.hr)
+    assert np.array_equal(lr_up, nearest_upsample(scene.lr, 2))
+    # the smallest side of at least 48 that 10 and 3 divide, and the patch
+    # size above 48
+    for patch, factor, side in ((10, 3, 60), (64, 2, 64)):
+        cfg = PipelineConfig(patch=patch, factor=factor)
+        lr_up, hr = cli._scene_pair_sampler(cfg, 2)(np.random.Generator(np.random.PCG64(7)))
+        assert hr.shape == lr_up.shape == (2, side, side)
+
+
+def test_train_grm_at_a_patch_size_that_does_not_divide_48(tmp_path, capsys):
+    ckpt = tmp_path / "grm.psck"
+    assert cli.main(["train-grm", "--out", str(ckpt), "--train-steps", "2",
+                     "--hidden", "4", "--patch-size", "10", "--seed", "0"]) == 0
+    assert ckpt.exists()
+    assert "trained GRM for 2 steps" in capsys.readouterr().out
 
 def test_train_dit_divergence_exits_4(tmp_path, capsys):
     ckpt = tmp_path / "dit.psck"
@@ -277,6 +302,22 @@ def test_bench_runs(tmp_path, capsys):
     assert "nfe_pgs" in text and "ratio" in text
 
 
+def test_bench_with_checkpoints(tmp_path, capsys):
+    grm, dit = tmp_path / "grm.psck", tmp_path / "dit.psck"
+    assert cli.main(["train-grm", "--out", str(grm), "--train-steps", "2",
+                     "--hidden", "4", "--seed", "0"]) == 0
+    assert cli.main(["train-dit", "--out", str(dit), "--train-steps", "2",
+                     "--width", "8", "--depth", "1", "--batch", "2", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert cli.main(["bench", "--size", "32x32", "--seed", "4",
+                     "--grm", str(grm), "--dit", str(dit)]) == 0
+    ledger = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert list(ledger) == ["count_simple", "count_medium", "count_hard", "nfe_pgs",
+                            "nfe_unified", "ratio", "mse_pgs", "mse_unified",
+                            "wall_ms_pgs", "wall_ms_unified"]
+    assert sum(int(ledger[f"count_{g}"]) for g in ("simple", "medium", "hard")) == 9
+    assert float(ledger["nfe_pgs"]) <= float(ledger["nfe_unified"])
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key 1\n")
@@ -295,6 +336,19 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert "factor 3" in capsys.readouterr().err
     assert not (tmp_path / "scene").exists()
 
+
+def test_schedule_too_long_to_allocate_exits_2_on_every_subcommand(tmp_path, capsys):
+    # numpy refuses the tables of this T without allocating (711 PiB)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("T 100000000000000000\n")
+    out = str(tmp_path / "out")
+    for argv in (["gen-data", "--out", out], ["train-grm", "--out", out],
+                 ["train-dit", "--out", out], ["rtm", "build", "--src", out, "--out", out],
+                 ["rtm", "query", "--mem", out, "--patch", out],
+                 ["sr", "--input", out, "--output", out], ["bench"]):
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert "config error: T=100000000000000000 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"

@@ -91,6 +91,17 @@ def test_patch_mean_confidence():
         build_qmap(np.ones((1, 8, 9)), grid, EXACT)
 
 
+def test_build_qmap_needs_one_confidence_channel():
+    # read by its first channel alone, this map would label all 9 patches
+    # Simple and ignore the low confidence of the second
+    grid = _grid(32, 32, 16, 8)
+    c = np.ones((2, 32, 32))
+    c[1] = 0.1
+    with pytest.raises(GridShapeError, match="not one channel"):
+        build_qmap(c, grid, Thresholds())
+    with pytest.raises(GridShapeError, match="not one channel"):
+        build_qmap(np.ones((32, 32)), grid, Thresholds())
+
 def test_patch_mean_matches_double_loop():
     rng = np.random.Generator(np.random.PCG64(2))
     c = rng.uniform(0.01, 1.0, (1, 12, 12))

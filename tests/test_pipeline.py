@@ -220,6 +220,18 @@ def test_superresolve_stage_errors():
     assert any(p is not None for call in runs[0][1] for p in call)
 
 
+def test_confidence_map_of_two_channels_fails_at_qmap():
+    scene = make_scene(32, 32, seed=5, patch=16, factor=2)
+    cfg = PipelineConfig(seed=1)
+
+    def two_channel_grm(y_lr):
+        return y_lr.copy(), np.concatenate([np.ones_like(y_lr), np.full_like(y_lr, 0.1)])
+
+    with pytest.raises(StageError) as exc:
+        superresolve(cfg, scene.lr, two_channel_grm, _oracle(cfg, scene))
+    assert exc.value.stage == "qmap"
+    assert isinstance(exc.value.cause, GridShapeError)
+
 def test_featureless_patches_fall_back_to_no_prompt():
     # the untrained GRM restores an all-zero grid to exactly zero, so every
     # patch is featureless: each gets a None prompt, and the run with a

@@ -54,6 +54,15 @@ def test_schedule_rejects_bad_config():
         build_linear_schedule(10, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("T", [10**17, 10**19])
+def test_schedule_too_long_to_allocate_is_config_error(T):
+    # numpy refuses both without allocating: 10**17 float64 steps (711 PiB)
+    # exceed every 64-bit address space, and 10**19 exceeds numpy's largest
+    # array size
+    with pytest.raises(ConfigError, match=f"T={T} is too large"):
+        build_linear_schedule(T)
+
+
 def test_forward_sample_zero_noise_and_zero_signal():
     s = build_linear_schedule(2, 0.1, 0.1)
     x0 = np.arange(12, dtype=np.float32).reshape(3, 2, 2)

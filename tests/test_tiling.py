@@ -91,7 +91,7 @@ def test_recompose_count_mismatch():
 
 
 def test_recompose_rejects_uncovered_cells():
-    grid = PatchGrid(V=4, coords=((0, 0),), shape=(1, 8, 8))
+    grid = PatchGrid(V=4, tops=(0,), lefts=(0,), shape=(1, 8, 8))
     with pytest.raises(GridShapeError, match="does not cover"):
         recompose(np.ones((1, 1, 4, 4)), grid)
 
@@ -109,20 +109,19 @@ def _loop_recompose(patches, grid):
 
 
 # decompose clamps the last row anchor of every grid here, and the last
-# column anchor of the 512- and 7-wide ones
-@pytest.mark.parametrize("shape, V, overlap", [((3, 512, 512), 16, 4), ((2, 37, 23), 8, 3),
-                                               ((1, 20, 9), 5, 1), ((1, 7, 7), 4, 0)])
+# column anchor of the 512- and 7-wide ones; the two hand-made grids, one
+# with a repeated anchor and one with unsorted anchors, are ones decompose
+# never makes
+@pytest.mark.parametrize("shape, V, overlap", [
+    ((3, 512, 512), 16, 4), ((2, 37, 23), 8, 3), ((1, 20, 9), 5, 1), ((1, 7, 7), 4, 0),
+    pytest.param((1, 8, 7), 4, ((0, 4, 4), (0, 3)), id="repeated-anchor"),
+    pytest.param((2, 9, 10), 4, ((5, 0, 3), (6, 0, 2, 4)), id="unsorted-anchors")])
 def test_recompose_matches_the_patch_by_patch_blend(shape, V, overlap):
     rng = np.random.Generator(np.random.PCG64(3))
-    _, grid = decompose(np.zeros(shape, np.float32), V, overlap)
-    assert (shape[1] - V) % (V - overlap)
+    if isinstance(overlap, tuple):  # the hand-made grid's (tops, lefts)
+        grid = PatchGrid(V, *overlap, shape)
+    else:
+        _, grid = decompose(np.zeros(shape, np.float32), V, overlap)
+        assert (shape[1] - V) % (V - overlap)
     patches = rng.standard_normal((grid.count,) + shape[:1] + (V, V)).astype(np.float32)
     assert np.array_equal(recompose(patches, grid), _loop_recompose(patches, grid))
-
-
-def test_recompose_rejects_a_grid_that_is_not_every_anchor_pair():
-    # (0, 0) and (4, 4) alone would blend an outer product that is not their cover
-    for coords in (((0, 0), (4, 4)), ((0, 0), (0, 4), (4, 0), (4, 4), (0, 0))):
-        grid = PatchGrid(V=4, coords=coords, shape=(1, 8, 8))
-        with pytest.raises(GridShapeError, match="every pair"):
-            recompose(np.ones((len(coords), 1, 4, 4)), grid)
