@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the check that turns a
+size numpy refuses to allocate into a ConfigError.
 
 The CLI maps these onto exit codes: ConfigError -> 2, file-format and
 other I/O problems -> 3, NumericError -> 4.
 """
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -44,3 +46,13 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def check_allocatable(what: str, shape) -> None:
+    """ConfigError naming the setting `what` if numpy refuses a float64 array
+    of shape (MemoryError, or ValueError past its largest array); np.empty
+    writes nothing, so this runs before an array of that size is filled."""
+    try:
+        np.empty(shape)
+    except (MemoryError, ValueError) as e:
+        raise ConfigError(f"{what} is too large: {e}") from e

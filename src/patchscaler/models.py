@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import CONF_FLOOR, confidence_loss_and_grads
-from .errors import ConfigError, GridShapeError, NumericError
+from .errors import ConfigError, GridShapeError, NumericError, check_allocatable
 from .schedule import NoiseSchedule, forward_sample
 
 
@@ -118,9 +118,9 @@ class PatchDiT:
         self.width = width
         self.depth = depth
         self.heads = heads
-        self.ff = 2 * width
+        d, f = width, 2 * width
+        check_allocatable(f"width={width}", (d, f))  # before any draw: the d x 2d tables
         rng = np.random.Generator(np.random.PCG64(seed))
-        d, f = width, self.ff
         c = channels
         prompt_in = channels * patch * patch
 
@@ -190,7 +190,7 @@ class PatchDiT:
             u = h_ca @ p[f"{b}.ff.w1"] + p[f"{b}.ff.b1"]
             g = np.tanh(u)
             h_next = h_ca + g @ p[f"{b}.ff.w2"] + p[f"{b}.ff.b2"]
-            blocks.append((h, sa_cache, h_sa, ca_out, ca_cache, s_b, h_ca, g))
+            blocks.append((sa_cache, ca_out, ca_cache, s_b, h_ca, g))
             h = h_next
 
         y = h @ p["out.w"] + p["out.b"]
@@ -254,7 +254,7 @@ class PatchDiT:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, d_out: np.ndarray, cache, prompt=None):
+    def backward(self, d_out: np.ndarray, cache):
         """Gradients of a scalar loss w.r.t. all parameters given d loss/d output."""
         p = self.params
         tokens, te, h0, s_in, pt, pcache, blocks, h_final = cache
@@ -268,7 +268,7 @@ class PatchDiT:
 
         for i in reversed(range(self.depth)):
             b = f"b{i}"
-            h_in, sa_cache, h_sa, ca_out, ca_cache, s_b, h_ca, g = blocks[i]
+            sa_cache, ca_out, ca_cache, s_b, h_ca, g = blocks[i]
             # feed-forward
             d_g = dh @ p[f"{b}.ff.w2"].T
             grads[f"{b}.ff.w2"] += g.T @ dh
@@ -318,7 +318,7 @@ class PatchDiT:
         diff = out - target.astype(np.float64)
         loss = float(np.mean(diff * diff))
         d_out = 2.0 * diff / diff.size
-        return loss, self.backward(d_out, cache, prompt)
+        return loss, self.backward(d_out, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +502,9 @@ class GlobalRestorer:
 
     def __init__(self, channels: int = 1, hidden: int = 16, seed: int = 0):
         self.channels = channels
-        self.hidden = hidden
-        rng = np.random.Generator(np.random.PCG64(seed))
         c, f = channels, hidden
+        check_allocatable(f"hidden={hidden}", (f, f, 3, 3))  # before any draw: conv2.w
+        rng = np.random.Generator(np.random.PCG64(seed))
         self.params = {
             "conv1.w": rng.standard_normal((f, c, 3, 3)) / np.sqrt(9 * c),
             "conv1.b": np.zeros(f),

@@ -10,7 +10,7 @@ from scipy.ndimage import gaussian_filter
 from .colornorm import wavelet_color_normalize
 from .confidence import Thresholds, build_qmap
 from .errors import (ConfigError, DegenerateQueryError, GridShapeError,
-                     NumericError, StageError)
+                     NumericError, StageError, check_allocatable)
 from .pgs import run_pgs
 from .rtm import retrieve_topk
 from .schedule import NoiseSchedule, build_linear_schedule, make_substeps
@@ -49,7 +49,8 @@ class PipelineConfig:
         if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         self.thresholds()  # 0 <= gamma2 < gamma1 <= 1
-        self.schedule()    # T >= 1, 0 < beta_start <= beta_end < 1
+        object.__setattr__(self, "_schedule",  # T >= 1, 0 < beta_start <= beta_end < 1
+                           build_linear_schedule(self.T, self.beta_start, self.beta_end))
         taus, steps = self.taus, self.steps
         if len(taus) != 3 or len(steps) != 3:
             raise ConfigError("taus and steps need one value per group (S, M, H)")
@@ -66,7 +67,7 @@ class PipelineConfig:
         return Thresholds(self.gamma1, self.gamma2)
 
     def schedule(self) -> NoiseSchedule:
-        return build_linear_schedule(self.T, self.beta_start, self.beta_end)
+        return self._schedule
 
 
 def parse_config_file(path) -> dict:
@@ -162,6 +163,7 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
         raise ConfigError(f"scene dims {height}x{width} must be multiples of "
                           f"the factor {factor}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    check_allocatable(f"size {height}x{width}", (2, height, width))  # the mgrid below
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     base = np.zeros((height, width))
     for _ in range(4):
@@ -214,10 +216,13 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     swap).  A memory given without an extractor is queried with the one it
     was built with, memory.extractor().
     """
-    schedule = cfg.schedule()
     with _stage("upsample"):
         lr_up = nearest_upsample(lr_image, cfg.factor)
-        # the color fix needs sides divisible by 2**levels
+        # the color fix needs sides divisible by 2**levels; past both the grid
+        # and a patch, the padding would be most of the work (levels 10: 1024^2)
+        if 1 << cfg.levels > max(*lr_up.shape[1:], cfg.patch):
+            raise ConfigError(f"levels={cfg.levels}: 2**levels exceeds both the upsampled "
+                              f"grid {lr_up.shape[1:]} and the patch size {cfg.patch}")
         lr_up, orig = _pad_to_multiple(lr_up, 1 << cfg.levels)
     with _stage("grm"):
         y_hr, conf = grm(lr_up)
@@ -242,7 +247,7 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
                 except DegenerateQueryError:
                     prompts.append(None)  # unconditional fallback
     with _stage("pgs"):
-        restored, report = run_pgs(denoiser, schedule, patches, qmap,
+        restored, report = run_pgs(denoiser, cfg.schedule(), patches, qmap,
                                    cfg.taus, cfg.steps, prompts=prompts,
                                    seed=cfg.seed)
     with _stage("recompose"):

@@ -79,16 +79,14 @@ def extract_query(t, patch: np.ndarray) -> np.ndarray:
     return (feat / norm).astype(np.float32)
 
 
-def farthest_point_sample(keys: np.ndarray, m: int, start: int = 0) -> np.ndarray:
-    """Greedy max-min subset selection; ties broken by lowest index."""
+def farthest_point_sample(keys: np.ndarray, m: int) -> np.ndarray:
+    """Greedy max-min subset selection from key 0; ties broken by lowest index."""
     n = len(keys)
     if not 1 <= m <= n:
         raise ConfigError(f"need 1 <= m <= {n}, got {m}")
-    if not 0 <= start < n:
-        raise ConfigError(f"start index {start} out of range")
     pts = keys.astype(np.float64)
-    chosen = [start]
-    min_dist = np.linalg.norm(pts - pts[start], axis=1)
+    chosen = [0]
+    min_dist = np.linalg.norm(pts - pts[0], axis=1)
     for _ in range(m - 1):
         nxt = int(np.argmax(min_dist))  # argmax returns the first (lowest) index
         chosen.append(nxt)

@@ -11,20 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridShapeError
+from .errors import ConfigError, GridShapeError, check_allocatable
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Precomputed beta/alpha/alpha_bar tables for T diffusion steps.
+    """The read-only alpha_bar table of T diffusion steps; every trajectory
+    operation below reads only it.
 
     alpha_bars has T+1 entries; alpha_bars[0] == 1 so indexing by time
     step t in [0, T] is direct.
     """
 
     T: int
-    betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     def alpha_bar(self, t: int) -> float:
@@ -33,23 +32,18 @@ class NoiseSchedule:
 
 def build_linear_schedule(T: int, beta_start: float = 1e-4,
                           beta_end: float = 0.02) -> NoiseSchedule:
-    """Linear beta ramp; tables computed in float64, stored as float32."""
+    """alpha_bar_t = prod_{s<=t} (1 - beta_s) over a linear beta ramp,
+    computed in float64 in the ramp's own buffer and stored as float32."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError("betas must satisfy 0 < beta_start <= beta_end < 1")
-    try:
-        betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    except (MemoryError, ValueError) as e:  # numpy refuses tables this long
-        raise ConfigError(f"T={T} is too large for the noise schedule tables: {e}") from e
-    alphas = 1.0 - betas
-    alpha_bars = np.concatenate(([1.0], np.cumprod(alphas)))
-    return NoiseSchedule(
-        T=T,
-        betas=betas.astype(np.float32),
-        alphas=alphas.astype(np.float32),
-        alpha_bars=alpha_bars.astype(np.float32),
-    )
+    check_allocatable(f"T={T}", T)
+    prod = np.linspace(beta_start, beta_end, T, dtype=np.float64)
+    np.cumprod(np.subtract(1.0, prod, out=prod), out=prod)
+    alpha_bars = np.concatenate(([1.0], prod), dtype=np.float32)
+    alpha_bars.flags.writeable = False
+    return NoiseSchedule(T, alpha_bars)
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray):

@@ -28,9 +28,10 @@ class CountingDenoiser:
         return self.denoiser(x_t, t, prompts)
 
 
-def forward_step(s, x_prev, t, eps):
-    """One forward transition: sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps."""
-    beta = float(s.betas[t - 1])
+def forward_step(betas, x_prev, t, eps):
+    """One forward transition: sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps,
+    beta_t = betas[t - 1] (the schedule stores only the alpha_bars)."""
+    beta = float(betas[t - 1])
     return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * eps
 
 

@@ -34,13 +34,14 @@ def _report(num, desc, ok, detail=""):
 
 def test_criterion_1_forward_process_moments(schedule1000):
     s = schedule1000
+    betas = np.linspace(1e-4, 0.02, 1000)  # schedule1000's ramp
     rng = np.random.Generator(np.random.PCG64(100))
     n = 10_000
     worst = 0.0
     for t_star in (10, 100, 500, 1000):
         x = np.full(n, 1.3)
         for t in range(1, t_star + 1):
-            x = forward_step(s, x, t, rng.standard_normal(n))
+            x = forward_step(betas, x, t, rng.standard_normal(n))
         ab = s.alpha_bar(t_star)
         se_mean = np.sqrt(1 - ab) / np.sqrt(n)
         se_var = (1 - ab) * np.sqrt(2.0 / (n - 1))
@@ -118,12 +119,14 @@ def test_criterion_5_fps_matches_oracle():
         keys = rng.standard_normal((n, int(rng.integers(2, 9))))
         if trial % 5 == 0:
             keys[n // 2] = keys[0]  # force exact distance ties
+        # FPS starts from key 0: relabel the keys so the drawn start is key 0
+        keys = np.roll(keys, -start, axis=0)
         dist = cdist(keys, keys)
-        chosen = [start]
+        chosen = [0]
         for _ in range(m - 1):
             gap = dist[:, chosen].min(axis=1)
             chosen.append(int(np.flatnonzero(gap == gap.max())[0]))
-        got = list(farthest_point_sample(keys, m, start=start))
+        got = list(farthest_point_sample(keys, m))
         assert got == chosen, f"trial {trial}"
     _report(5, "farthest point sampling matches the greedy max-min oracle",
             True, "100 random instances incl. forced ties")

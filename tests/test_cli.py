@@ -350,6 +350,39 @@ def test_schedule_too_long_to_allocate_exits_2_on_every_subcommand(tmp_path, cap
         assert "config error: T=100000000000000000 is too large" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+@pytest.mark.parametrize("levels", [10, 40, 70])
+def test_levels_past_the_grid_and_the_patch_exit_2_at_upsample(tmp_path, capsys, levels):
+    # 2**10 would pad the 32x32 upsampled grid to 1024x1024 (7225 Hard
+    # patches); 2**40 and 2**70 are pads numpy cannot make at all
+    lr, cfg = tmp_path / "lr.psg", tmp_path / "run.cfg"
+    save_grid(lr, np.zeros((1, 16, 16), np.float32))
+    cfg.write_text(f"levels {levels}\n")
+    out = tmp_path / "out.psg"
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage 'upsample' failed" in err and f"levels={levels}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    # sizes past the 128 TiB x86-64 address space, so numpy refuses them
+    # whatever the host's overcommit policy, and nothing is filled
+    (["gen-data", "--out", "scene", "--size", "100000000x100000000"],
+     "size 100000000x100000000"),
+    (["bench", "--size", "100000000x100000000"], "size 100000000x100000000"),
+    (["train-grm", "--out", "grm.psck", "--hidden", "100000000"], "hidden=100000000"),
+    (["train-dit", "--out", "dit.psck", "--width", "100000000"], "width=100000000"),
+])
+def test_unallocatable_size_flags_exit_2(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} is too large")
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"\xffpatch 8\n")

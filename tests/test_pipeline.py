@@ -78,6 +78,25 @@ def test_config_validation_and_builders():
     assert cfg.schedule().T == 1000
 
 
+def test_config_builds_its_schedule_once(monkeypatch):
+    builds = []
+    real = pipeline.build_linear_schedule
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "build_linear_schedule", counting)
+    cfg = PipelineConfig(seed=2)
+    assert cfg.schedule() is cfg.schedule() and builds == [(1000, 1e-4, 0.02)]
+    scene = make_scene(32, 32, seed=6, patch=16, factor=2)
+    superresolve(cfg, scene.lr, FlatGrm(), _oracle(cfg, scene))
+    assert len(builds) == 1
+    # benchmark makes two configs a repeat, the run's and its unified twin
+    benchmark(cfg, scene, FlatGrm(), _oracle(cfg, scene), repeats=2)
+    assert len(builds) == 1 + 2 * 2
+
+
 @pytest.mark.parametrize("word, value", [
     *((w, True) for w in ("1", "true", "YES", "On")),
     *((w, False) for w in ("0", "False", "no", "OFF"))])
@@ -187,6 +206,21 @@ def test_superresolve_pads_odd_sizes():
     cfg = PipelineConfig(seed=1)
     sr, _ = superresolve(cfg, lr, FlatGrm(), _oracle(cfg, scene))
     assert sr.shape == (1, 46, 42)
+
+
+def test_levels_may_reach_the_larger_of_the_grid_and_the_patch():
+    scene = make_scene(32, 32, seed=5, patch=16, factor=2)  # 32x32 upsampled
+    sr, _ = superresolve(PipelineConfig(levels=5), scene.lr, FlatGrm(),
+                         _oracle(PipelineConfig(), scene))
+    assert sr.shape == (1, 32, 32)
+    with pytest.raises(StageError) as exc:
+        superresolve(PipelineConfig(levels=6), scene.lr, FlatGrm(),
+                     _oracle(PipelineConfig(), scene))
+    assert exc.value.stage == "upsample" and isinstance(exc.value.cause, ConfigError)
+    # a grid smaller than one patch is padded up to the patch, not refused
+    sr, _ = superresolve(PipelineConfig(levels=4), scene.lr[:, :4, :4], FlatGrm(),
+                         _oracle(PipelineConfig(), scene))
+    assert sr.shape == (1, 8, 8)
 
 
 def test_superresolve_stage_errors():

@@ -37,9 +37,9 @@ def test_extractor_deterministic():
     assert np.array_equal(ex1(p), ex2(p))
 
 
-def _fps_oracle(keys, m, start):
+def _fps_oracle(keys, m):
     pts = keys.astype(np.float64)
-    chosen = [start]
+    chosen = [0]
     for _ in range(m - 1):
         best_idx, best_d = None, -1.0
         for i in range(len(pts)):
@@ -52,34 +52,34 @@ def _fps_oracle(keys, m, start):
 
 def test_fps_line_example():
     keys = np.array([[0.0], [1.0], [10.0]])
-    assert list(farthest_point_sample(keys, 2, start=0)) == [0, 2]
+    assert list(farthest_point_sample(keys, 2)) == [0, 2]
 
 
 def test_fps_full_selection():
     keys = np.random.default_rng(1).standard_normal((6, 3))
-    assert sorted(farthest_point_sample(keys, 6, start=2)) == list(range(6))
+    assert sorted(farthest_point_sample(keys, 6)) == list(range(6))
 
 
 def test_fps_matches_greedy_oracle():
     rng = np.random.Generator(np.random.PCG64(2))
     keys = rng.standard_normal((64, 8))
-    got = list(farthest_point_sample(keys, 16, start=0))
-    assert got == _fps_oracle(keys, 16, 0)
+    got = list(farthest_point_sample(keys, 16))
+    assert got == _fps_oracle(keys, 16)
 
 
 def test_fps_tie_break_lowest_index():
     # duplicated points force exact distance ties
     keys = np.array([[0.0], [5.0], [5.0], [5.0]])
-    got = list(farthest_point_sample(keys, 2, start=0))
+    got = list(farthest_point_sample(keys, 2))
     assert got == [0, 1]
 
 
 def test_fps_errors():
     keys = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        farthest_point_sample(keys, 4, 0)
+        farthest_point_sample(keys, 4)
     with pytest.raises(ConfigError):
-        farthest_point_sample(keys, 2, 5)
+        farthest_point_sample(keys, 0)
 
 
 def test_build_memory_small_and_deterministic():
