@@ -300,26 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code and message label of each error main reports; a StageError exits
+# as its cause would (3 for a cause not listed), under the label "error"
+_EXITS = ((ConfigError, 2, "config error"), (OSError, 3, "i/o error"),
+          (NumericError, 4, "numeric failure"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if isinstance(e.cause, ConfigError):
-            return 2
-        if isinstance(e.cause, NumericError):
-            return 4
-        return 3
-    except (FormatError, OSError) as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 4
+    except (StageError, *(kind for kind, _, _ in _EXITS)) as e:
+        cause = e.cause if isinstance(e, StageError) else e
+        code, label = next(((code, label) for kind, code, label in _EXITS
+                            if isinstance(cause, kind)), (3, "error"))
+        print(f"{'error' if cause is not e else label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ import numpy as np
 
 from .confidence import GroupLabel
 from .errors import ConfigError, NumericError
-from .schedule import (NoiseSchedule, make_substeps, reverse_step,
-                       truncated_forward)
+from .schedule import NoiseSchedule, forward_sample, make_substeps, reverse_step
 
 @dataclass
 class PgsReport:
@@ -107,20 +106,19 @@ def _patch_rng(seed: int, indices, out: np.ndarray) -> None:
 
 
 def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
-              prompts=None, seed: int = 0, indices=None) -> np.ndarray:
+              indices, prompts=None, seed: int = 0) -> np.ndarray:
     """Truncated-forward initialization then one n-step reverse ladder for
     the whole group.
 
     The patches form one (B, c, V, V) batch, so each ladder step is one
     denoiser call on B patches: exactly n evaluations per patch, none for
-    an empty group.  Noise is drawn per patch from (seed, patch index), so
-    results are order independent; a negative seed or index raises
-    ConfigError.  A non-finite sample raises NumericError.
+    an empty group.  Noise for patches[k] is drawn from (seed, indices[k]),
+    its index in the image, so results are order independent; a negative
+    seed or index raises ConfigError.  A non-finite sample raises
+    NumericError.
     """
     y0 = np.asarray(patches)
     ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
-    if indices is None:
-        indices = range(len(y0))
     if len(indices) != len(y0) or (prompts is not None and len(prompts) != len(y0)):
         raise ConfigError("prompts/indices must align with patches")
     if seed < 0 or any(i < 0 for i in indices):
@@ -130,7 +128,7 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     eps = np.empty(y0.shape)
     _patch_rng(operator.index(seed), indices, eps)
     eps = eps.astype(y0.dtype, copy=False)
-    x = truncated_forward(s, y0, tau, eps)
+    x = forward_sample(s, y0, tau, eps)  # the truncated-forward start
     for t, t_next in zip(ladder, ladder[1:]):
         x0_hat = denoiser(x, t, prompts)
         x = reverse_step(s, x, x0_hat, t, t_next)
@@ -159,9 +157,8 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
         group_nfe[label] = len(idx) * n
-        results[idx] = run_group(denoiser, s, patches[idx], tau, n,
-                                 prompts=[prompts[i] for i in idx], seed=seed,
-                                 indices=idx)
+        results[idx] = run_group(denoiser, s, patches[idx], tau, n, idx,
+                                 prompts=[prompts[i] for i in idx], seed=seed)
     report = PgsReport(
         group_counts=group_counts,
         group_nfe=group_nfe,

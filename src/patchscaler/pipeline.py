@@ -217,10 +217,13 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     was built with, memory.extractor().
     """
     with _stage("upsample"):
+        c, h, w = lr_image.shape
+        check_allocatable(f"factor={cfg.factor}", (c, h * cfg.factor, w * cfg.factor))
         lr_up = nearest_upsample(lr_image, cfg.factor)
         # the color fix needs sides divisible by 2**levels; past both the grid
-        # and a patch, the padding would be most of the work (levels 10: 1024^2)
-        if 1 << cfg.levels > max(*lr_up.shape[1:], cfg.patch):
+        # and a patch, the padding would be most of the work (levels 10: 1024^2).
+        # levels >= m.bit_length() is 2**levels > m, without building 2**levels
+        if cfg.levels >= max(*lr_up.shape[1:], cfg.patch).bit_length():
             raise ConfigError(f"levels={cfg.levels}: 2**levels exceeds both the upsampled "
                               f"grid {lr_up.shape[1:]} and the patch size {cfg.patch}")
         lr_up, orig = _pad_to_multiple(lr_up, 1 << cfg.levels)

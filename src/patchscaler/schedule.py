@@ -1,8 +1,8 @@
 """Diffusion trajectory math over a precomputed noise schedule.
 
 All trajectory operations are pure functions of an immutable NoiseSchedule:
-closed-form forward sampling, truncated forward initialization for coarse
-estimates, and a deterministic x0-prediction reverse update over a
+closed-form forward sampling, which also noises a coarse estimate up to an
+intermediate step, and a deterministic x0-prediction reverse update over a
 sub-sampled step ladder.
 """
 from __future__ import annotations
@@ -61,14 +61,8 @@ def forward_sample(s: NoiseSchedule, x0: np.ndarray, t: int,
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def truncated_forward(s: NoiseSchedule, y0: np.ndarray, tau: int,
-                      eps: np.ndarray) -> np.ndarray:
-    """Noise the coarse estimate y0 up to intermediate step tau.
-
-    Same math as forward_sample; kept as its own entry point because it
-    initializes the reverse process from a non-Gaussian start.
-    """
-    return forward_sample(s, y0, tau, eps)
+# perfbench's schedule.truncated_forward_ms times PGS's start under this name
+truncated_forward = forward_sample
 
 
 def make_substeps(tau: int, N: int) -> tuple[int, ...]:

@@ -78,9 +78,11 @@ def test_criterion_3_truncation_tradeoff(schedule1000):
         good = bad = 0.0
         for i in range(trials):
             x0 = rng.standard_normal((1, 8, 8)).astype(np.float32)
-            out = run_group(d, schedule1000, [x0], tau, n, seed=1000 + i)
+            out = run_group(d, schedule1000, [x0], tau, n, seed=1000 + i,
+                            indices=range(1))
             good += np.mean((out[0] - x0) ** 2)
-            out = run_group(d, schedule1000, [x0 + 2.0], tau, n, seed=1000 + i)
+            out = run_group(d, schedule1000, [x0 + 2.0], tau, n, seed=1000 + i,
+                            indices=range(1))
             bad += np.mean((out[0] - x0) ** 2)
         mse[tau] = (good / trials, bad / trials)
     r_good = mse[400][0] / mse[1000][0]

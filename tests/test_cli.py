@@ -351,10 +351,11 @@ def test_schedule_too_long_to_allocate_exits_2_on_every_subcommand(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("levels", [10, 40, 70])
+@pytest.mark.parametrize("levels", [10, 40, 70, 10**18, 2**63])
 def test_levels_past_the_grid_and_the_patch_exit_2_at_upsample(tmp_path, capsys, levels):
     # 2**10 would pad the 32x32 upsampled grid to 1024x1024 (7225 Hard
-    # patches); 2**40 and 2**70 are pads numpy cannot make at all
+    # patches); 2**40 and 2**70 are pads numpy cannot make at all, and
+    # 2**(10**18) is an integer Python cannot make
     lr, cfg = tmp_path / "lr.psg", tmp_path / "run.cfg"
     save_grid(lr, np.zeros((1, 16, 16), np.float32))
     cfg.write_text(f"levels {levels}\n")
@@ -363,6 +364,20 @@ def test_levels_past_the_grid_and_the_patch_exit_2_at_upsample(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "stage 'upsample' failed" in err and f"levels={levels}" in err
+    assert not out.exists()
+
+
+def test_factor_past_what_numpy_allocates_exits_2_at_upsample(tmp_path, capsys):
+    # a 1x1 grid upsampled 10**7 times is 364 TiB in float32, past the
+    # x86-64 address space: refused before the first repeat fills anything
+    lr, cfg = tmp_path / "lr.psg", tmp_path / "run.cfg"
+    save_grid(lr, np.zeros((1, 1, 1), np.float32))
+    cfg.write_text("factor 10000000\n")
+    out = tmp_path / "out.psg"
+    rc = cli.main(["sr", "--input", str(lr), "--output", str(out), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'upsample' failed: factor=10000000 is too large")
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
 from patchscaler.pgs import run_group, run_pgs
 from patchscaler.pipeline import PipelineConfig, _unified_cfg
 from patchscaler.rtm import RetrievalResult
-from patchscaler.schedule import make_substeps, reverse_step, truncated_forward
+from patchscaler.schedule import forward_sample, make_substeps, reverse_step
 
 from conftest import CountingDenoiser
 
@@ -50,7 +50,8 @@ def test_group_table_validation():
 def test_run_group_single_step_single_call(schedule1000):
     rng = np.random.Generator(np.random.PCG64(0))
     counted = CountingDenoiser(_oracle(schedule1000))
-    out = run_group(counted, schedule1000, _patches(rng, 3), tau=50, n=1)
+    out = run_group(counted, schedule1000, _patches(rng, 3), tau=50, n=1,
+                    indices=range(3))
     assert counted.calls == 3
     assert len(out) == 3 and out[0].shape == (1, 4, 4)
 
@@ -58,7 +59,8 @@ def test_run_group_single_step_single_call(schedule1000):
 def test_run_group_call_budget(schedule1000):
     rng = np.random.Generator(np.random.PCG64(1))
     counted = CountingDenoiser(_oracle(schedule1000))
-    run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8)
+    run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8,
+              indices=range(5))
     assert counted.calls == 40
 
 
@@ -77,7 +79,8 @@ def test_counting_denoiser_counts_patch_evaluations(schedule1000):
     shapes.clear()
     counted = CountingDenoiser(denoiser)
     rng = np.random.Generator(np.random.PCG64(12))
-    run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8)
+    run_group(counted, schedule1000, _patches(rng, 5), tau=400, n=8,
+              indices=range(5))
     assert counted.calls == 40 and shapes == [(5, 1, 4, 4)] * 8
 
 
@@ -87,7 +90,7 @@ def _serial_run_group(denoise_one, s, patches, tau, n, prompts, seed, indices):
     out = []
     for y0, prompt, idx in zip(patches, prompts, indices):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx])))
-        x = truncated_forward(s, y0, tau, rng.standard_normal(y0.shape).astype(y0.dtype))
+        x = forward_sample(s, y0, tau, rng.standard_normal(y0.shape).astype(y0.dtype))
         for t, t_next in zip(ladder, ladder[1:]):
             x = reverse_step(s, x, denoise_one(x, t, prompt), t, t_next)
         out.append(x)
@@ -126,11 +129,11 @@ def test_run_group_deterministic(schedule1000):
     rng = np.random.Generator(np.random.PCG64(2))
     patches = _patches(rng, 4)
     d = _oracle(schedule1000)
-    a = run_group(d, schedule1000, patches, 400, 8, seed=7)
-    b = run_group(d, schedule1000, patches, 400, 8, seed=7)
+    a = run_group(d, schedule1000, patches, 400, 8, seed=7, indices=range(4))
+    b = run_group(d, schedule1000, patches, 400, 8, seed=7, indices=range(4))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    c = run_group(d, schedule1000, patches, 400, 8, seed=8)
+    c = run_group(d, schedule1000, patches, 400, 8, seed=8, indices=range(4))
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
@@ -149,9 +152,9 @@ def test_run_group_errors(schedule1000):
     patches = _patches(rng, 2)
     d = _oracle(schedule1000)
     with pytest.raises(ConfigError):
-        run_group(d, schedule1000, patches, tau=5, n=9)
+        run_group(d, schedule1000, patches, tau=5, n=9, indices=range(2))
     with pytest.raises(ConfigError):
-        run_group(d, schedule1000, patches, 400, 8, prompts=[None])
+        run_group(d, schedule1000, patches, 400, 8, prompts=[None], indices=range(2))
     with pytest.raises(ConfigError):
         run_group(d, schedule1000, patches, 400, 8, indices=[0])
 
@@ -226,8 +229,8 @@ def test_shallower_start_helps_good_estimates(schedule1000):
     for i in range(30):
         x0 = rng.standard_normal((1, 4, 4)).astype(np.float32)
         y0 = x0  # perfect coarse estimate
-        a = run_group(d, schedule1000, [y0], 400, 8, seed=100 + i)
-        b = run_group(d, schedule1000, [y0], 1000, 20, seed=100 + i)
+        a = run_group(d, schedule1000, [y0], 400, 8, seed=100 + i, indices=range(1))
+        b = run_group(d, schedule1000, [y0], 1000, 20, seed=100 + i, indices=range(1))
         err_short += np.mean((a[0] - x0) ** 2)
         err_long += np.mean((b[0] - x0) ** 2)
     assert err_short < err_long
@@ -318,8 +321,8 @@ def test_shortcut_consistency_small_prior(schedule1000):
     # short ladder from a perfect estimate lands where the long one does
     d = GaussianOracleDenoiser(GaussianOracleStats(0.0, 0.03 ** 2), schedule1000)
     x0 = np.zeros((1, 4, 4), np.float32)
-    short = run_group(d, schedule1000, [x0], 400, 8, seed=3)
-    long_ = run_group(d, schedule1000, [x0], 1000, 20, seed=3)
+    short = run_group(d, schedule1000, [x0], 400, 8, seed=3, indices=range(1))
+    long_ = run_group(d, schedule1000, [x0], 1000, 20, seed=3, indices=range(1))
     assert np.max(np.abs(short[0] - long_[0])) <= 1e-3
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from patchscaler.errors import ConfigError, GridShapeError
 from patchscaler.schedule import (build_linear_schedule, forward_sample,
-                                  make_substeps, reverse_step, truncated_forward)
+                                  make_substeps, reverse_step)
 
 from conftest import forward_step
 
@@ -143,11 +143,11 @@ def test_truncated_forward_cases():
     # find tau with abar close to 0.5
     tau = int(np.argmin(np.abs(s.alpha_bars - 0.5)))
     y0 = np.ones((1, 3, 3))
-    out = truncated_forward(s, y0, tau, np.zeros_like(y0))
+    out = forward_sample(s, y0, tau, np.zeros_like(y0))
     assert np.allclose(out, np.sqrt(s.alpha_bar(tau)) * y0)
     # endpoint dominated by noise
     eps = np.full_like(y0, 0.3)
-    out = truncated_forward(s, y0, s.T, eps)
+    out = forward_sample(s, y0, s.T, eps)
     assert np.max(np.abs(out - np.sqrt(1 - s.alpha_bar(s.T)) * eps)) \
         <= np.sqrt(s.alpha_bar(s.T)) * np.max(np.abs(y0)) + 1e-7
 
