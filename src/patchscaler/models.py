@@ -390,7 +390,7 @@ def _conv_pool():
         return _pool
 
 
-def _conv3x3_forward(x, w, b, out=None, tanh=False):
+def _conv3x3_forward(x, w, b, tanh=False, sink=None):
     # im2col + GEMM in bands of output rows, run by k threads, k = _WORKERS
     # (1 on a small grid, see above) capped at the band count: k - 1 runs go
     # to the pool and the calling thread makes the last.  Each run takes the
@@ -414,13 +414,22 @@ def _conv3x3_forward(x, w, b, out=None, tanh=False):
     # c >= 4 here, as OpenBLAS picks its small-matrix kernel by operand
     # layout (every band of a grid 75 or more wide has at least 75 cells).
     # Each band's (cells, f) result gets the bias, and with tanh=True the
-    # tanh, while still in cache, and goes into the (f, h, w) output: out if
-    # given, of any memory layout, else a new C-contiguous array.  The
-    # threads run only _conv_bands, which a tracer does not wrap.
+    # tanh, and while still in cache goes to sink(r, o) as o, a channels-last
+    # (rows, width, f) view, r its first row; the conv then returns None.
+    # sink runs on the thread that made the band, touches only that band's
+    # rows and, like the bands, allocates no array.  Without a sink the
+    # bands go into a new C-contiguous (f, h, w) array, which is returned.
+    # The threads run only _conv_bands and the sink, which a tracer does
+    # not wrap.
     c, h_, w_ = x.shape
     f = len(w)
     wt = w.reshape(f, c * 9).T
-    y = np.empty((f, h_, w_)) if out is None else out
+    y = None
+    if sink is None:
+        y = np.empty((f, h_, w_))
+
+        def sink(r, o):
+            y[:, r:r + len(o)] = o.transpose(2, 0, 1)
     k = _WORKERS if h_ * w_ >= _MIN_THREADED_CELLS else 1
     band = max(1, 4096 // (w_ * k))
     k = max(1, min(k, -(-h_ // band)))
@@ -430,7 +439,8 @@ def _conv3x3_forward(x, w, b, out=None, tanh=False):
     outs = np.empty((k, rows * w_, f))
     # shared by the runs; next() on it is one C call, atomic under the GIL
     starts = iter(range(0, h_, band))
-    runs = [(x, wt, b, y, starts, band, xbs[i], bufs[i], outs[i], tanh) for i in range(k)]
+    runs = [(x, wt, b, sink, starts, band, xbs[i], bufs[i], outs[i], tanh)
+            for i in range(k)]
     if k == 1:
         _conv_bands(*runs[0])
         return y
@@ -448,10 +458,10 @@ def _conv3x3_forward(x, w, b, out=None, tanh=False):
     return y
 
 
-def _conv_bands(x, wt, b, y, starts, band, xb, buf, o, tanh):
+def _conv_bands(x, wt, b, sink, starts, band, xb, buf, o, tanh):
     """The bands of _conv3x3_forward that start at the rows it takes from
     starts, one at a time: rows of x into xb, their 3x3 windows into buf,
-    the GEMM into o and the result into y."""
+    the GEMM into o and the result to sink."""
     c, h_, w_ = x.shape
     f = wt.shape[1]
     # win[:, di, dj, i, j] is xb[:, i + di, j + dj], band row i's window on
@@ -475,7 +485,7 @@ def _conv_bands(x, wt, b, y, starts, band, xb, buf, o, tanh):
         ob += b
         if tanh:
             np.tanh(ob, out=ob)
-        y[:, r:r + bh] = ob.T.reshape(f, bh, w_)
+        sink(r, ob.reshape(bh, w_, f))
 
 
 def _conv3x3_backward(dy, x, w):
@@ -491,6 +501,41 @@ def _conv3x3_backward(dy, x, w):
         for dj in range(3):
             dxp[:, di:di + h_, dj:dj + w_] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
     return dw, db, dxp[:, 1:-1, 1:-1]
+
+
+def _heads_sink(p, x, y_hr, conf, h2, sig):
+    """The sink conv2's bands hand their channels-last (rows, w, f) tanh
+    result to: it writes those rows of y_hr = x + feat.w h2 + feat.b and
+    conf = floor + (1 - floor) sigmoid(conf.w h2 + conf.b), and of h2 and
+    sig unless they are None, in place, so a pool thread allocates no array.
+
+    Each einsum sums over f, the contiguous axis here as in a whole
+    channels-last h2, and each elementwise step is that of the whole-grid
+    expression, so the bits are those of the heads run on a whole
+    channels-last h2.
+    """
+    fw, fb, cw, cb = p["feat.w"], p["feat.b"][:, None], p["conf.w"], p["conf.b"][0]
+
+    def sink(r, o):
+        rows = slice(r, r + len(o))
+        if h2 is not None:
+            h2[rows] = o
+        o = o.reshape(-1, o.shape[-1])
+        y = y_hr[:, rows].reshape(len(fw), -1)  # views: a band's rows are contiguous
+        np.einsum("cf,nf->cn", fw, o, out=y)
+        y += fb
+        y += x[:, rows].reshape(y.shape)
+        z = conf[0, rows].reshape(-1)
+        np.einsum("f,nf->n", cw, o, out=z)
+        z += cb
+        s = z if sig is None else sig[0, rows].reshape(-1)
+        np.negative(z, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        np.multiply(s, 1.0 - CONF_FLOOR, out=z)
+        z += CONF_FLOOR
+    return sink
 
 
 class GlobalRestorer:
@@ -517,27 +562,32 @@ class GlobalRestorer:
         }
 
     def forward(self, y_lr: np.ndarray, want_cache=False):
+        """(y_hr, conf), and with want_cache the training cache (x, h1, h2,
+        sig) after them.
+
+        conv2's bands compute the heads from their channels-last tanh
+        result while it is in cache (see _heads_sink), so inference holds h1
+        but never the whole second hidden layer; with want_cache the bands
+        also write it, channels-last, for the backward.
+        """
         if y_lr.ndim != 3 or y_lr.shape[0] != self.channels:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
         x = y_lr.astype(np.float64)
         h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"], tanh=True)
-        # einsum's summation order in the heads, and the backward's in
-        # training, follow the memory layout of h2 and h1: both stay in the
-        # channels-last layout the checkpoint and golden digests were made
-        # with, so outputs and trained weights keep their bits.  conv2 writes
-        # h2 straight into that layout; only the training cache copies h1.
-        _, h, w = x.shape
-        h2 = np.empty((h, w, len(p["conv2.w"]))).transpose(2, 0, 1)
-        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], out=h2, tanh=True)
-        feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
-        y_hr = x + feat
-        z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]
-        sig = 1.0 / (1.0 + np.exp(-z))
-        conf = CONF_FLOOR + (1.0 - CONF_FLOOR) * sig
+        c, h, w = x.shape
+        y_hr, conf = np.empty((c, h, w)), np.empty((1, h, w))
+        h2 = sig = None
+        if want_cache:
+            h2, sig = np.empty((h, w, len(p["conv2.w"]))), np.empty((1, h, w))
+        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], tanh=True,
+                         sink=_heads_sink(p, x, y_hr, conf, h2, sig))
         if not want_cache:
             return y_hr, conf
-        return y_hr, conf, (x, _channels_last(h1), h2, sig)
+        # the backward's summation order follows the memory layout of h2
+        # and h1: both stay channels-last, the layout the checkpoint and
+        # golden digests were made with, so trained weights keep their bits
+        return y_hr, conf, (x, _channels_last(h1), h2.transpose(2, 0, 1), sig)
 
     def __call__(self, y_lr: np.ndarray):
         return self.forward(y_lr)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,17 +278,23 @@ def test_banded_conv_matches_full_im2col(shape):
     assert np.array_equal(y, _conv3x3_reference(x, w, b))
 
 
+def _channels_last_sink(out):
+    # a band sink that copies each band into a channels-last (h, w, f) array
+    def sink(r, o):
+        out[r:r + len(o)] = o
+    return sink
+
+
 def test_conv_writes_every_cell_of_a_channels_last_out():
-    # the GRM hands conv2 a channels-last view to fill: every cell is
-    # written (no NaN survives) with the bits of the one-GEMM reference
+    # the bands reach a sink channels-last: every cell is written (no NaN
+    # survives) with the bits of the one-GEMM reference
     rng = np.random.Generator(np.random.PCG64(13))
     x = rng.standard_normal((16, 29, 150))
     w = rng.standard_normal((16, 16, 3, 3))
     b = rng.standard_normal(16)
-    out = np.full((29, 150, 16), np.nan).transpose(2, 0, 1)
-    y = _conv3x3_forward(x, w, b, out=out)
-    assert y is out
-    assert np.array_equal(out, _conv3x3_reference(x, w, b))
+    out = np.full((29, 150, 16), np.nan)
+    assert _conv3x3_forward(x, w, b, sink=_channels_last_sink(out)) is None
+    assert np.array_equal(out.transpose(2, 0, 1), _conv3x3_reference(x, w, b))
 
 
 @pytest.fixture(params=[1, 2, 3, 4])
@@ -310,7 +317,7 @@ def _serial_conv(monkeypatch, *args, **kwargs):
 # the two GRM golden inputs; a 512x512 GRM hidden layer; a grid inside one
 # band (20 rows, 30 wide); a short last band after full ones at every worker
 # count (81 rows at width 100); width 1 (3000 rows); and the channels-last
-# out= view conv2 writes
+# bands a sink gets, as conv2's do
 @pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (16, 512, 512),
                                    (16, 20, 30), (16, 81, 100), (16, 3000, 1),
                                    "channels-last"])
@@ -324,11 +331,14 @@ def test_threaded_conv_keeps_the_serial_bits(shape, conv_workers, monkeypatch):
     b = rng.standard_normal(16)
     ref = _serial_conv(monkeypatch, x, w, b)
 
-    def out():
-        return np.full(shape[1:] + (16,), np.nan).transpose(2, 0, 1) if last else None
-    y = _conv3x3_forward(x, w, b, out=out())
-    assert np.array_equal(y, ref)
-    assert np.array_equal(_conv3x3_forward(x, w, b, out=out(), tanh=True), np.tanh(ref))
+    def conv(**kw):
+        if not last:
+            return _conv3x3_forward(x, w, b, **kw)
+        out = np.full(shape[1:] + (16,), np.nan)
+        _conv3x3_forward(x, w, b, sink=_channels_last_sink(out), **kw)
+        return out.transpose(2, 0, 1)
+    assert np.array_equal(conv(), ref)
+    assert np.array_equal(conv(tanh=True), np.tanh(ref))
 
 
 def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
@@ -344,9 +354,9 @@ def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            out = np.full((3000, 16, 16), np.nan).transpose(2, 0, 1)
-            _conv3x3_forward(x, w, b, out=out, tanh=True)
-            assert np.array_equal(out, np.tanh(ref))
+            out = np.full((3000, 16, 16), np.nan)
+            _conv3x3_forward(x, w, b, tanh=True, sink=_channels_last_sink(out))
+            assert np.array_equal(out.transpose(2, 0, 1), np.tanh(ref))
     finally:
         sys.setswitchinterval(interval)
         models._pool.shutdown()
@@ -430,6 +440,79 @@ def test_conv_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="band failed"):
         _conv3x3_forward(np.ones((1, 100, 100)), np.ones((4, 1, 3, 3)), np.zeros(4))
     models._pool.shutdown()
+
+
+def _random_grm(rng, channels):
+    grm = GlobalRestorer(channels=channels, hidden=16, seed=0)
+    for k, v in grm.params.items():  # nonzero biases too
+        grm.params[k] = rng.standard_normal(v.shape) / 4
+    return grm
+
+
+# 1 and 3 channels; widths under and over 75 (conv2's small-band GEMMs);
+# one band, bands that do not divide the rows, and one-row bands
+@pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (1, 9, 40),
+                                   (3, 33, 74), (1, 5, 1), (3, 2, 4100)])
+def test_fused_grm_heads_match_the_cached_forward(shape, conv_workers, monkeypatch):
+    # conv2's bands compute the heads; forward(x) must be the cached
+    # forward's (y_hr, conf), and both the whole-grid heads on the cached
+    # channels-last h2, bit for bit
+    rng = np.random.Generator(np.random.PCG64(18))
+    grm, x = _random_grm(rng, shape[0]), rng.standard_normal(shape)
+    p = grm.params
+    y_hr, conf = grm.forward(x)
+    y_c, conf_c, (_, h1, h2, sig) = grm.forward(x, want_cache=True)
+    assert np.array_equal(y_hr, y_c) and np.array_equal(conf, conf_c)
+    assert h2.transpose(1, 2, 0).flags.c_contiguous  # channels-last
+    assert np.array_equal(h1, _serial_conv(monkeypatch, x, p["conv1.w"], p["conv1.b"], tanh=True))
+    assert np.array_equal(h2, _serial_conv(monkeypatch, h1, p["conv2.w"], p["conv2.b"], tanh=True))
+    feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
+    z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]
+    ref_sig = 1.0 / (1.0 + np.exp(-z))
+    assert np.array_equal(y_hr, x + feat) and np.array_equal(sig, ref_sig)
+    assert np.array_equal(conf, CONF_FLOOR + (1.0 - CONF_FLOOR) * ref_sig)
+
+
+def test_grm_heads_under_fast_thread_switches(monkeypatch):
+    # 8 threads write the heads of 94 bands of 32 rows, taking turns every
+    # microsecond: a band written twice, or not at all, moves the bits
+    rng = np.random.Generator(np.random.PCG64(20))
+    grm, x = _random_grm(rng, 1), rng.standard_normal((1, 3000, 16))
+    with monkeypatch.context() as m:
+        m.setattr(models, "_WORKERS", 1)
+        ref = grm.forward(x, want_cache=True)
+    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
+    monkeypatch.setattr(models, "_WORKERS", 8)
+    monkeypatch.setattr(models, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for want_cache in (False, True):
+            got = grm.forward(x, want_cache=want_cache)
+            assert all(np.array_equal(a, b) for a, b in zip(got[:2], ref[:2]))
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], ref[2]))
+    finally:
+        sys.setswitchinterval(interval)
+        models._pool.shutdown()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grm_inference_never_holds_the_second_hidden_layer(workers, monkeypatch):
+    # at 512x512 h1 takes 16 * 512^2 * 8 B = 33.5 MB; a forward that also
+    # held h2 (the same size again) peaks near 80 MB
+    monkeypatch.setattr(models, "_WORKERS", workers)
+    monkeypatch.setattr(models, "_pool", None)
+    grm = GlobalRestorer(channels=1, hidden=16, seed=0)
+    x = np.random.Generator(np.random.PCG64(19)).standard_normal((1, 512, 512))
+    tracemalloc.start()
+    try:
+        grm.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if models._pool is not None:
+            models._pool.shutdown()
+    assert peak < 1.5 * 16 * 512 * 512 * 8
 
 
 def test_grm_forward_contract():

@@ -220,6 +220,78 @@ def test_patch_rng_called_once_per_nonempty_group(schedule1000, monkeypatch):
     assert calls == [3, 2]
 
 
+def _logged(denoiser, batches):
+    # records the batch size of every denoiser call
+    def call(x_t, t, prompts=None):
+        batches.append(len(x_t))
+        return denoiser(x_t, t, prompts)
+    return call
+
+
+def _run_pgs_logged(monkeypatch, cells, s, denoiser, patches, qmap, prompts=None):
+    # run_pgs at a chunk of the given cells; the batch of every call is logged
+    batches = []
+    with monkeypatch.context() as m:
+        m.setattr(pgs, "_CHUNK_CELLS", cells)
+        counted = CountingDenoiser(_logged(denoiser, batches))
+        results, report = run_pgs(counted, s, patches, qmap, TAUS, STEPS,
+                                  prompts=prompts, seed=9)
+    assert report.total_nfe == counted.calls
+    return results, report, batches
+
+
+def _ledger(report):
+    return report.group_counts, report.group_nfe, report.total_nfe, report.unified_nfe
+
+
+def test_chunked_ladders_keep_the_bits_and_the_ledger(schedule1000, monkeypatch):
+    # 16x16x1 patches at the default 2^14 cells: 64 a chunk, so Simple's 150
+    # run as 64 + 64 + 22 and Medium's 64 as one chunk; every group in one
+    # chunk is the reference
+    rng = np.random.Generator(np.random.PCG64(17))
+    patches = _patches(rng, 224, (1, 16, 16))
+    qmap = [S] * 150 + [M] * 64 + [H] * 10
+    rng.shuffle(qmap)
+    oracle = _oracle(schedule1000, var=0.8)
+    got, report, batches = _run_pgs_logged(monkeypatch, pgs._CHUNK_CELLS, schedule1000,
+                                           oracle, patches, qmap)
+    ref, ref_report, ref_batches = _run_pgs_logged(monkeypatch, 1 << 30, schedule1000,
+                                                   oracle, patches, qmap)
+    assert np.array_equal(got, ref)
+    assert _ledger(report) == _ledger(ref_report)
+    # steps * ceil(group / 64) calls, each chunk walking its whole ladder
+    assert batches == [64] * 8 + [64] * 8 + [22] * 8 + [64] * 14 + [10] * 20
+    assert ref_batches == [150] * 8 + [64] * 14 + [10] * 20
+
+
+@pytest.mark.parametrize("patch", [8, 12, 16])
+def test_chunked_dit_ladders_keep_the_bits(schedule1000, monkeypatch, patch):
+    # five patches a chunk: Simple's 7 run as 5 + 2, Medium's 4 as one chunk;
+    # prompted and unprompted patches share chunks
+    rng = np.random.Generator(np.random.PCG64(18))
+    dit = PatchDiT(channels=1, patch=patch, width=16, depth=1, heads=2, seed=4)
+    patches = _patches(rng, 13, (1, patch, patch))
+    qmap = [S, M, S, H, S, S, M, S, H, M, S, M, S]
+    prompts = [None if i % 3 == 0 else RetrievalResult(
+        indices=np.arange(2), similarities=np.array([0.8, 0.3]),
+        priors=rng.standard_normal((2, 1, patch, patch)).astype(np.float32))
+        for i in range(13)]
+    got, report, batches = _run_pgs_logged(monkeypatch, 5 * patch * patch, schedule1000,
+                                           dit, patches, qmap, prompts)
+    ref, ref_report, _ = _run_pgs_logged(monkeypatch, 1 << 30, schedule1000, dit,
+                                         patches, qmap, prompts)
+    assert np.array_equal(got, ref)
+    assert _ledger(report) == _ledger(ref_report)
+    assert batches == [5] * 8 + [2] * 8 + [4] * 14 + [2] * 20
+
+
+def test_run_pgs_rejects_a_short_prompt_list(schedule1000):
+    rng = np.random.Generator(np.random.PCG64(19))
+    with pytest.raises(ConfigError, match="prompts/indices must align"):
+        run_pgs(_oracle(schedule1000), schedule1000, _patches(rng, 3),
+                [S, M, S], TAUS, STEPS, prompts=[None])
+
+
 def test_shallower_start_helps_good_estimates(schedule1000):
     # paired-seed comparison: when the coarse estimate is already close to
     # the truth, starting at tau=400 beats injecting full tau=1000 noise
