@@ -1,4 +1,5 @@
-"""Parameter checkpoint files: named float32 sections behind a PSCK magic."""
+"""Parameter checkpoint files: named float32 sections behind a PSCK magic,
+and the section that records the noise schedule a model was trained for."""
 from __future__ import annotations
 
 import math
@@ -7,11 +8,13 @@ import struct
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, MagicMismatchError,
-                     TruncatedFileError)
+from .errors import (ConfigError, DimensionMismatchError, FormatError,
+                     MagicMismatchError, TruncatedFileError)
 
 _MAGIC = b"PSCK"
 _VERSION = 1
+# the (T, beta_start, beta_end) of the noise schedule a model was trained for
+SCHEDULE = "meta.schedule"
 
 
 def save_params(path, params: dict):
@@ -80,3 +83,31 @@ def restore_into(model, loaded: dict):
             raise DimensionMismatchError(
                 f"section '{name}' shape {loaded[name].shape} != {arr.shape}")
         model.params[name] = loaded[name].copy()
+
+
+def schedule_section(T: int, beta_start: float, beta_end: float) -> dict:
+    """The section that records a training noise schedule, to save beside
+    the params; a T above 2**24, which float32 cannot hold exactly, is a
+    ConfigError."""
+    if T > 2**24:
+        raise ConfigError(f"T={T} exceeds 2**24, the largest T a checkpoint "
+                          f"records exactly")
+    return {SCHEDULE: np.array([T, beta_start, beta_end], np.float32)}
+
+
+def check_schedule(loaded: dict, T: int, beta_start: float, beta_end: float):
+    """ConfigError if the loaded checkpoint was trained for another schedule
+    than (T, beta_start, beta_end): T compared exactly, the betas in float32
+    as stored; a checkpoint without the section passes."""
+    trained = loaded.get(SCHEDULE)
+    if trained is None:
+        return
+    if trained.shape != (3,):
+        raise DimensionMismatchError(f"section '{SCHEDULE}' shape {trained.shape} != (3,)")
+    if not np.isfinite(trained).all():
+        raise FormatError(f"section '{SCHEDULE}' is not finite: {trained}")
+    t, b0, b1 = trained
+    if t != T or not np.array_equal(trained[1:], np.float32([beta_start, beta_end])):
+        raise ConfigError(f"checkpoint was trained for T={t:g}, beta_start={b0:g}, "
+                          f"beta_end={b1:g}; the config has T={T}, "
+                          f"beta_start={beta_start:g}, beta_end={beta_end:g}")

@@ -101,6 +101,7 @@ def _make_denoiser(cfg: PipelineConfig, dit_path, reference: np.ndarray):
                                     var=max(float(reference.var()), 1e-6))
         return GaussianOracleDenoiser(stats, cfg.schedule())
     loaded = checkpoint.load_params(dit_path)
+    checkpoint.check_schedule(loaded, cfg.T, cfg.beta_start, cfg.beta_end)
     # embed.w is (channels, width) and each block has one b<i>.sa.wq; size
     # the model to the checkpoint, restore_into then checks the patch size
     width = _section_shape(loaded, "embed.w", 2)[1]
@@ -160,6 +161,7 @@ def cmd_train_grm(args):
 
 def cmd_train_dit(args):
     cfg = _build_config(args)
+    schedule = checkpoint.schedule_section(cfg.T, cfg.beta_start, cfg.beta_end)
     dit = PatchDiT(channels=args.channels, patch=cfg.patch,
                    width=args.width, depth=args.depth, seed=cfg.seed)
     stats = GaussianOracleStats(mean=0.0, var=1.0)
@@ -167,7 +169,7 @@ def cmd_train_dit(args):
                                             batch=args.batch)
     trace = train_toy(dit.params, objective, steps=args.train_steps,
                       lr=args.lr, seed=cfg.seed)
-    checkpoint.save_params(args.out, dit.params)
+    checkpoint.save_params(args.out, {**dit.params, **schedule})
     print(f"trained Patch-DiT for {len(trace)} steps; "
           f"loss {trace[0]:.4f} -> {trace[-1]:.4f}; saved to {args.out}")
     return 0

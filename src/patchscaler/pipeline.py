@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -15,6 +16,13 @@ from .pgs import run_pgs
 from .rtm import retrieve_topk
 from .schedule import NoiseSchedule, build_linear_schedule, make_substeps
 from .tiling import decompose, recompose
+
+
+@lru_cache(maxsize=1)
+def _linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    # the tables are read-only, so configs that differ only in other fields
+    # (benchmark's per-repeat and unified configs) share one build
+    return build_linear_schedule(T, beta_start, beta_end)
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class PipelineConfig:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         self.thresholds()  # 0 <= gamma2 < gamma1 <= 1
         object.__setattr__(self, "_schedule",  # T >= 1, 0 < beta_start <= beta_end < 1
-                           build_linear_schedule(self.T, self.beta_start, self.beta_end))
+                           _linear_schedule(self.T, self.beta_start, self.beta_end))
         taus, steps = self.taus, self.steps
         if len(taus) != 3 or len(steps) != 3:
             raise ConfigError("taus and steps need one value per group (S, M, H)")

@@ -43,7 +43,7 @@ def schedule1000():
 @pytest.fixture(scope="session")
 def dit_f32_tol():
     """Max abs difference allowed between PatchDiT's float32 inference and
-    its float64 forward; the benchmark-size DiT measures 5.2e-8."""
+    its float64 forward; the benchmark-size DiT measures 4.9e-8."""
     return 1e-5
 
 

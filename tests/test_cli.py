@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from patchscaler import cli
-from patchscaler.checkpoint import save_params
+from patchscaler.checkpoint import (SCHEDULE, check_schedule, load_params,
+                                   save_params, schedule_section)
+from patchscaler.errors import ConfigError
 from patchscaler.gridio import load_grid, save_grid
 from patchscaler.models import GlobalRestorer, PatchDiT
 from patchscaler.pipeline import PipelineConfig, make_scene, nearest_upsample
@@ -106,6 +108,39 @@ def test_train_dit_small(tmp_path, capsys):
     assert rc == 0
     assert ckpt.exists()
     assert "trained Patch-DiT" in capsys.readouterr().out
+
+
+def test_dit_trained_for_another_schedule_exits_2(tmp_path, capsys):
+    # the DiT's time embedding and x0 targets belong to the schedule it was
+    # trained for; another one (T 400, beta_end 0.05) would run and exit 0
+    # with silently wrong output
+    dit = tmp_path / "dit.psck"
+    assert cli.main(["train-dit", "--out", str(dit), "--train-steps", "2", "--width", "8",
+                     "--depth", "1", "--batch", "2", "--patch-size", "8"]) == 0
+    assert np.array_equal(load_params(dit)[SCHEDULE], np.float32([1000, 1e-4, 0.02]))
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text("T 400\nbeta_end 0.05\ntaus 100,200,400\n")
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.zeros((1, 8, 8), np.float32))
+    out = tmp_path / "out.psg"
+    capsys.readouterr()
+    for argv in (["sr", "--input", str(lr), "--output", str(out)],
+                 ["bench", "--size", "16x16"]):
+        rc = cli.main([*argv, "--dit", str(dit), "--config", str(cfg),
+                       "--patch-size", "8", "--overlap", "2", "--steps", "2,3,4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "T=1000" in err and "T=400" in err
+    assert not out.exists()
+    # T is compared exactly, not as the float32 it is stored in: 2**24 + 1
+    # rounds to 2**24, so train-dit refuses it and a DiT trained at 2**24
+    # does not load under it (checked without building that schedule)
+    with pytest.raises(ConfigError, match="2\\*\\*24"):
+        schedule_section(2**24 + 1, 1e-4, 0.02)
+    at_2_24 = {k: v.astype(np.float64) for k, v in schedule_section(2**24, 1e-4, 0.02).items()}
+    check_schedule(at_2_24, 2**24, 1e-4, 0.02)
+    with pytest.raises(ConfigError, match="T=16777217"):
+        check_schedule(at_2_24, 2**24 + 1, 1e-4, 0.02)
 
 
 def test_dit_and_rtm_workflow(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patchscaler.checkpoint import load_params
+from patchscaler.checkpoint import SCHEDULE, check_schedule, load_params
 from patchscaler.errors import ConfigError, FormatError
 from patchscaler.gridio import load_grid
 from patchscaler.pipeline import PipelineConfig, parse_config_file
@@ -81,11 +81,13 @@ def test_load_memory_any_bytes(raw):
         assert mem.extractor_seed == struct.unpack("<Q", raw[20:28])[0]
 
 
-_names = st.one_of(st.binary(max_size=6), st.text(max_size=6).map(str.encode))
+_names = st.one_of(st.binary(max_size=6), st.text(max_size=6).map(str.encode),
+                   st.just(SCHEDULE.encode()))
 _shapes = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=4)
 _sections = st.tuples(_names, _shapes, st.binary(max_size=48)).map(
     lambda s: struct.pack("<H", len(s[0])) + s[0] + struct.pack(f"<B{len(s[1])}I", len(s[1]), *s[1])
     + s[2])
+_schedule_header = b"PSCK" + struct.pack("<IIH", 1, 1, len(SCHEDULE)) + SCHEDULE.encode()
 checkpoint_files = st.one_of(
     st.binary(max_size=64),
     # version 1 and its neighbours, which must be refused
@@ -94,6 +96,9 @@ checkpoint_files = st.one_of(
     st.tuples(_small, _small).flatmap(
         lambda d: _with_payload(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w"
                                 + struct.pack("<B2I", 2, *d), 4 * d[0] * d[1])),
+    # a schedule section of 0-4 values
+    st.integers(0, 4).flatmap(
+        lambda n: _with_payload(_schedule_header + struct.pack("<BI", 1, n), 4 * n)),
 )
 
 
@@ -108,11 +113,19 @@ checkpoint_files = st.one_of(
 # a float32 signalling NaN, which loads as a quiet NaN without a warning
 @example(b"PSCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BI", 1, 1)
          + bytes.fromhex("0100807f"))
+# the default schedule, which a config of the default schedule accepts
+@example(_schedule_header + struct.pack("<BI", 1, 3)
+         + np.array([1000, 1e-4, 0.02], "<f4").tobytes())
 def test_load_params_any_bytes(raw):
     params = _load(load_params, raw)
     if params is not None:
         assert all(isinstance(name, str) and arr.dtype == np.float64
                    for name, arr in params.items())
+        # a schedule section of any content passes or is refused, never a traceback
+        try:
+            check_schedule(params, 1000, 1e-4, 0.02)
+        except (ConfigError, FormatError):
+            assert SCHEDULE in params
 
 
 # values stay short (at most 6 characters of free text, integers up to

@@ -67,7 +67,7 @@ def test_dit_batch_matches_per_patch_forward(dit_f32_tol):
 
 def test_dit_float32_inference_within_bound_of_float64_forward(dit_f32_tol):
     # the benchmark's DiT: 256 tokens, width 64, 4 heads; measured max abs
-    # difference 5.2e-8 (numpy 2.4.6, OpenBLAS 0.3.31, x86-64)
+    # difference 4.9e-8 (numpy 2.4.6, OpenBLAS 0.3.31, x86-64)
     dit = PatchDiT(channels=1, patch=16, width=64, depth=2, heads=4, seed=0)
     rng = np.random.Generator(np.random.PCG64(14))
     x = rng.standard_normal((6, 1, 16, 16)).astype(np.float32)
@@ -138,8 +138,49 @@ def test_attention_softmax_over_keys_is_stable():
     assert got.dtype == np.float32 and np.all(np.isfinite(got))
     assert np.max(np.abs(got64 - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(got - got64)) <= 1e-5 * np.max(np.abs(got64))
-    assert cache[5].shape == (3, 2, 20, 20)
-    assert np.max(np.abs(cache[5].sum(axis=-1) - 1.0)) <= 1e-12
+    # the cache holds the unnormalised weights and their sums over keys
+    weights = cache[5] / cache[6]
+    assert weights.shape == (3, 2, 20, 20)
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) <= 1e-12
+
+
+def _textbook_attention(q_in, kv_in, p, pre, heads):
+    """Query-major natural-exp softmax, normalised before the product with v;
+    also returns the peak |score|."""
+    def split(a):
+        return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-3, -2)
+
+    qh, kh, vh = (split(x @ p[pre + w])
+                  for x, w in ((q_in, ".wq"), (kv_in, ".wk"), (kv_in, ".wv")))
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = (weights @ vh).swapaxes(-3, -2).reshape(q_in.shape)
+    return merged @ p[pre + ".wo"] + p[pre + ".bo"], np.max(np.abs(scores))
+
+
+@pytest.mark.parametrize("pre, lead, m, q_gain, peak", [
+    ("b0.sa", (3,), 20, 1.0, (0, 50)),
+    ("b0.ca", (2, 3), 5, 1.0, (0, 50)),
+    # near one-hot weights: most exp2 terms underflow past the max shift
+    ("b0.sa", (2, 3), 20, 150.0, (200, 2e3)),
+    ("b0.ca", (4,), 5, 150.0, (200, 2e3)),
+])
+def test_float64_attention_matches_a_textbook_softmax(pre, lead, m, q_gain, peak):
+    # base-2 exponent with log2(e) folded into the query scale, and the
+    # division by the sums on the product with v, not on the weights,
+    # change only rounding
+    dit = PatchDiT(channels=1, patch=4, width=16, depth=1, heads=2, seed=6)
+    p = dict(dit.params)
+    p[pre + ".wq"] = p[pre + ".wq"] * q_gain
+    rng = np.random.Generator(np.random.PCG64(17))
+    q_in = rng.standard_normal((*lead, 20, 16))
+    kv_in = q_in if pre.endswith(".sa") else rng.standard_normal((*lead, m, 16))
+    ref, top = _textbook_attention(q_in, kv_in, p, pre, dit.heads)
+    assert peak[0] < top < peak[1]
+    got, _ = _attn_forward(q_in, kv_in, p, pre, dit.heads)
+    assert got.shape == ref.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_dit_inference_stays_float32(monkeypatch):

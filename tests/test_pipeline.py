@@ -87,14 +87,21 @@ def test_config_builds_its_schedule_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(pipeline, "build_linear_schedule", counting)
+    pipeline._linear_schedule.cache_clear()
     cfg = PipelineConfig(seed=2)
     assert cfg.schedule() is cfg.schedule() and builds == [(1000, 1e-4, 0.02)]
     scene = make_scene(32, 32, seed=6, patch=16, factor=2)
     superresolve(cfg, scene.lr, FlatGrm(), _oracle(cfg, scene))
     assert len(builds) == 1
-    # benchmark makes two configs a repeat, the run's and its unified twin
+    # benchmark's two configs a repeat, the run's and its unified twin,
+    # share the schedule of the config it was given
     benchmark(cfg, scene, FlatGrm(), _oracle(cfg, scene), repeats=2)
-    assert len(builds) == 1 + 2 * 2
+    assert len(builds) == 1
+    assert replace(cfg, seed=3).schedule() is cfg.schedule()
+    # another schedule is built, not read from the last one
+    assert PipelineConfig(T=800, taus=(400, 700, 800)).schedule().T == 800
+    assert builds[1:] == [(800, 1e-4, 0.02)]
+    pipeline._linear_schedule.cache_clear()
 
 
 @pytest.mark.parametrize("word, value", [
