@@ -94,6 +94,9 @@ def _load_grm(cfg: PipelineConfig, path, channels=1) -> GlobalRestorer:
     return grm
 
 
+_DIT_HEADS = 4  # the head count of every DiT the CLI trains or loads
+
+
 def _make_denoiser(cfg: PipelineConfig, dit_path, reference: np.ndarray):
     """The PatchDiT in dit_path, or without one the Gaussian oracle."""
     if not dit_path:
@@ -105,9 +108,12 @@ def _make_denoiser(cfg: PipelineConfig, dit_path, reference: np.ndarray):
     # embed.w is (channels, width) and each block has one b<i>.sa.wq; size
     # the model to the checkpoint, restore_into then checks the patch size
     width = _section_shape(loaded, "embed.w", 2)[1]
+    if width % _DIT_HEADS:
+        raise DimensionMismatchError(f"checkpoint section 'embed.w' has width {width}, "
+                                     f"not divisible by the {_DIT_HEADS} heads")
     depth = sum(name.endswith(".sa.wq") for name in loaded)
     dit = PatchDiT(channels=reference.shape[0], patch=cfg.patch, width=width,
-                   depth=depth, seed=cfg.seed)
+                   depth=depth, heads=_DIT_HEADS, seed=cfg.seed)
     checkpoint.restore_into(dit, loaded)
     return dit
 
@@ -162,8 +168,8 @@ def cmd_train_grm(args):
 def cmd_train_dit(args):
     cfg = _build_config(args)
     schedule = checkpoint.schedule_section(cfg.T, cfg.beta_start, cfg.beta_end)
-    dit = PatchDiT(channels=args.channels, patch=cfg.patch,
-                   width=args.width, depth=args.depth, seed=cfg.seed)
+    dit = PatchDiT(channels=args.channels, patch=cfg.patch, width=args.width,
+                   depth=args.depth, heads=_DIT_HEADS, seed=cfg.seed)
     stats = GaussianOracleStats(mean=0.0, var=1.0)
     objective = make_dit_gaussian_objective(dit, cfg.schedule(), stats,
                                             batch=args.batch)

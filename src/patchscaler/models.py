@@ -5,9 +5,11 @@ patch denoiser with texture-prompt cross-attention and time-conditioned
 dimension-wise scaling (PatchDiT), a closed-form linear-Gaussian oracle
 denoiser for verification, and a small Adam training loop.
 
-Everything is plain numpy.  Training runs in float64 so analytic gradients
-can be checked against central finite differences; PatchDiT inference
-(``PatchDiT.__call__``) runs in float32.
+Everything is plain numpy.  PatchDiT has one batched forward, which computes
+in the dtype of the parameters it is given: training (``loss_and_grads``)
+runs it in float64, so analytic gradients can be checked against central
+finite differences, and inference (``PatchDiT.__call__``) in float32, both
+in the same patch chunks.
 """
 from __future__ import annotations
 
@@ -26,14 +28,15 @@ from .schedule import NoiseSchedule, forward_sample
 # ---------------------------------------------------------------------------
 # time embedding
 
-def time_embed(t: int, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of a time step; first half sin, second half cos."""
+def time_embed(t, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of a time step, (dim,), or of an array of steps,
+    (..., dim); first half sin, second half cos."""
     if dim % 2:
         raise ConfigError("embedding dim must be even")
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-    ang = t * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    ang = np.multiply.outer(t, freqs)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,23 +91,31 @@ def _attn_forward(q_in, kv_in, p, pre, heads):
     return out, (q_in, kv_in, qh, kh, vh, e, sums, merged, scale)
 
 
+def _linear_grads(grads, w, b, x, dy):
+    """Add to grads the gradients of the weight w and bias b (None for no
+    bias) of the layer x @ w + b, summed over leading dims."""
+    dy = dy.reshape(-1, dy.shape[-1])
+    grads[w] += x.reshape(-1, x.shape[-1]).T @ dy
+    if b is not None:
+        grads[b] += dy.sum(axis=0)
+
+
 def _attn_backward(dout, cache, p, pre, grads, heads):
     q_in, kv_in, qh, kh, vh, e, sums, merged, scale = cache
     a = e / sums
-    grads[pre + ".wo"] += merged.T @ dout
-    grads[pre + ".bo"] += dout.sum(axis=0)
+    _linear_grads(grads, pre + ".wo", pre + ".bo", merged, dout)
     d_merged = dout @ p[pre + ".wo"].T
     d_oh = _split_heads(d_merged, heads)
-    d_a = d_oh @ vh.transpose(0, 2, 1)
-    d_vh = a.transpose(0, 2, 1) @ d_oh
+    d_a = d_oh @ vh.swapaxes(-1, -2)
+    d_vh = a.swapaxes(-1, -2) @ d_oh
     d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
     d_qh = d_scores @ kh * scale
     # qh holds the queries scaled by log2(e) * scale: take log2(e) out again
-    d_kh = d_scores.transpose(0, 2, 1) @ qh * np.log(2.0)
+    d_kh = d_scores.swapaxes(-1, -2) @ qh * np.log(2.0)
     dq, dk, dv = _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
-    grads[pre + ".wq"] += q_in.T @ dq
-    grads[pre + ".wk"] += kv_in.T @ dk
-    grads[pre + ".wv"] += kv_in.T @ dv
+    _linear_grads(grads, pre + ".wq", None, q_in, dq)
+    _linear_grads(grads, pre + ".wk", None, kv_in, dk)
+    _linear_grads(grads, pre + ".wv", None, kv_in, dv)
     d_q_in = dq @ p[pre + ".wq"].T
     d_kv_in = dk @ p[pre + ".wk"].T + dv @ p[pre + ".wv"].T
     return d_q_in, d_kv_in
@@ -175,166 +186,157 @@ class PatchDiT:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x_t: np.ndarray, t: int, prompt=None, want_cache=False):
+    def _chunks(self, x_t, prompts):
+        """(slice, prompts) of each chunk of a (B, c, V, V) batch, prompts
+        None or B entries.  A chunk holds max(1, 2**18 // (heads * n * n))
+        patches, so a self-attention score tensor stays near 256K elements
+        (1 MB in float32), inside a per-core L2 cache; larger chunks (4 MB,
+        or one whole group) were slower."""
         c, v = self.channels, self.patch
-        p = self.params
-        tokens = x_t.astype(np.float64).reshape(c, v * v).T  # (n, c)
-        te = time_embed(t, self.width)
+        if x_t.ndim != 4 or x_t.shape[1:] != (c, v, v):
+            raise GridShapeError(f"expected a (B, {c}, {v}, {v}) batch, got {x_t.shape}")
+        prompts = [None] * len(x_t) if prompts is None else prompts
+        if len(prompts) != len(x_t):
+            raise ConfigError(f"{len(prompts)} prompts for {len(x_t)} patches")
+        step = max(1, (1 << 18) // (self.heads * v ** 4))
+        return [(slice(s, s + step), prompts[s:s + step]) for s in range(0, len(x_t), step)]
+
+    def _time_cond(self, t, p):
+        """(te, 1 + s_in, [s_ca per block]): the time embedding of t and the
+        scales it makes, in the dtype of p.  One step gives (d,) vectors;
+        training gives a (b, 1) array of steps and gets (b, 1, d) ones."""
+        te = time_embed(t, self.width).astype(p["time_in.w"].dtype)
+        s_ca = [te @ p[f"b{i}.ca.ts.w"] + p[f"b{i}.ca.ts.b"] for i in range(self.depth)]
+        return te, 1.0 + (te @ p["time_in.w"] + p["time_in.b"]), s_ca
+
+    def forward(self, x, cond, prompts, p, want_cache=False):
+        """Output of a (b, c, V, V) batch x at the time conditioning cond
+        (see _time_cond) and b prompts, each None or a retrieval result, all
+        of one length K; computed in the dtype of the parameters p, and with
+        want_cache also what backward needs.
+
+        Cross-attention sees only the patches with a prompt, their prompts
+        stacked into one (k, K, d) batch.  Without want_cache each attention
+        cache is dropped as soon as it is made.
+        """
+        b, c = len(x), self.channels
+        te, s_in, s_ca = cond
+        tokens = x.reshape(b, c, -1).swapaxes(1, 2).astype(p["embed.w"].dtype)  # (b, n, c)
         h0 = tokens @ p["embed.w"] + p["embed.b"]
-        s_in = te @ p["time_in.w"] + p["time_in.b"]
-        h = h0 * (1.0 + s_in)
-
-        if prompt is not None:
-            pt, pcache = self._encode_prompt(prompt, p)
-        else:
-            pt, pcache = None, None
-
+        h = h0 * s_in
+        idx = [i for i, pr in enumerate(prompts) if pr is not None]
+        enc = [self._encode_prompt(prompts[i], p) for i in idx]
+        pt = np.stack([e for e, _ in enc]) if idx else None
         blocks = []
         for i in range(self.depth):
-            b = f"b{i}"
-            sa_out, sa_cache = _attn_forward(h, h, p, f"{b}.sa", self.heads)
-            h_sa = h + sa_out
-            if pt is not None:
-                ca_out, ca_cache = _attn_forward(h_sa, pt, p, f"{b}.ca", self.heads)
-                s_b = te @ p[f"{b}.ca.ts.w"] + p[f"{b}.ca.ts.b"]
-                h_ca = h_sa + ca_out * s_b
-            else:
-                ca_out, ca_cache, s_b = None, None, None
-                h_ca = h_sa
-            u = h_ca @ p[f"{b}.ff.w1"] + p[f"{b}.ff.b1"]
-            g = np.tanh(u)
-            h_next = h_ca + g @ p[f"{b}.ff.w2"] + p[f"{b}.ff.b2"]
-            blocks.append((sa_cache, ca_out, ca_cache, s_b, h_ca, g))
-            h = h_next
-
-        y = h @ p["out.w"] + p["out.b"]
-        out = y.T.reshape(c, v, v)
-        if not want_cache:
-            return out
-        cache = (tokens, te, h0, s_in, pt, pcache, blocks, h)
-        return out, cache
+            pre = f"b{i}"
+            # an attention cache that is not wanted is dropped at once: one
+            # held through the feed-forward made float32 inference 36-44%
+            # slower under glibc's default malloc settings.  Each residual sum
+            # goes into the fresh update (a + b == b + a), which leaves the
+            # cached block input as it was.
+            u, sa = _attn_forward(h, h, p, pre + ".sa", self.heads)
+            sa = sa if want_cache else None
+            u += h
+            h = u
+            ca_out = ca = s_b = None
+            if idx:
+                s_b = s_ca[i] if s_ca[i].ndim == 1 else s_ca[i][idx]
+                ca_out, ca = _attn_forward(h[idx], pt, p, pre + ".ca", self.heads)
+                ca = ca if want_cache else None
+                h[idx] += ca_out * s_b
+            g = h @ p[pre + ".ff.w1"]
+            g += p[pre + ".ff.b1"]
+            np.tanh(g, out=g)
+            if want_cache:
+                blocks.append((sa, ca_out, ca, s_b, h, g))
+            u = g @ p[pre + ".ff.w2"]
+            u += h
+            u += p[pre + ".ff.b2"]
+            h = u
+        out = (h @ p["out.w"] + p["out.b"]).swapaxes(1, 2).reshape(x.shape)
+        return (out, (tokens, te, h0, s_in, idx, enc, blocks, h)) if want_cache else out
 
     def __call__(self, x_t: np.ndarray, t: int, prompts=None) -> np.ndarray:
         """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts,
         each None or a retrieval result, all of one length K per call.
 
-        The inference path: the whole network runs in float32 on (b, n, d)
-        tokens, b patches at a time, with the parameters cast once per call.
-        b = max(1, 2**18 // (heads * n * n)) keeps each self-attention score
-        tensor near 256K float32 elements (1 MB), inside a per-core L2 cache;
-        larger chunks (4 MB, or one whole group) were slower.
-        The output stays within a tested bound of the float64 forward.
+        The forward runs in float32 in _chunks, with the parameters cast and
+        the time conditioning computed once per call; the output stays
+        within a tested bound of the float64 forward.
         """
-        c, v = self.channels, self.patch
-        if x_t.ndim != 4 or x_t.shape[1:] != (c, v, v):
-            raise GridShapeError(f"expected a (B, {c}, {v}, {v}) batch, got {x_t.shape}")
-        if prompts is None:
-            prompts = [None] * len(x_t)
-        if len(prompts) != len(x_t):
-            raise ConfigError(f"{len(prompts)} prompts for {len(x_t)} patches")
+        chunks = self._chunks(x_t, prompts)
         p = {k: a.astype(np.float32) for k, a in self.params.items()}
-        te = time_embed(t, self.width).astype(np.float32)
-        s_in = 1.0 + (te @ p["time_in.w"] + p["time_in.b"])
-        s_ca = [te @ p[f"b{i}.ca.ts.w"] + p[f"b{i}.ca.ts.b"]
-                for i in range(self.depth)]
-        n = v * v
-        chunk = max(1, (1 << 18) // (self.heads * n * n))
+        cond = self._time_cond(t, p)
         out = np.empty(x_t.shape, np.float32)
-        for s in range(0, len(x_t), chunk):
-            out[s:s + chunk] = self._infer(x_t[s:s + chunk], prompts[s:s + chunk],
-                                           p, s_in, s_ca)
+        for s, pr in chunks:
+            out[s] = self.forward(x_t[s], cond, pr, p)
         return out.astype(x_t.dtype, copy=False)
-
-    def _infer(self, x, prompts, p, s_in, s_ca):
-        """float32 forward of a (b, c, V, V) chunk; see __call__."""
-        b, c = len(x), self.channels
-        tokens = x.reshape(b, c, -1).swapaxes(1, 2).astype(np.float32)  # (b, n, c)
-        h = tokens @ p["embed.w"] + p["embed.b"]
-        h *= s_in
-        # cross-attention sees only the patches with a prompt, their prompts
-        # stacked into one (k, K, d) batch
-        idx = [i for i, pr in enumerate(prompts) if pr is not None]
-        pt = np.stack([self._encode_prompt(prompts[i], p)[0] for i in idx]) if idx else None
-        for i in range(self.depth):
-            pre = f"b{i}"
-            h += _attn_forward(h, h, p, f"{pre}.sa", self.heads)[0]
-            if idx:
-                h[idx] += _attn_forward(h[idx], pt, p, f"{pre}.ca", self.heads)[0] * s_ca[i]
-            g = h @ p[f"{pre}.ff.w1"]
-            g += p[f"{pre}.ff.b1"]
-            np.tanh(g, out=g)
-            h += g @ p[f"{pre}.ff.w2"]
-            h += p[f"{pre}.ff.b2"]
-        y = h @ p["out.w"] + p["out.b"]  # (b, n, c)
-        return y.swapaxes(1, 2).reshape(x.shape)
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, d_out: np.ndarray, cache):
-        """Gradients of a scalar loss w.r.t. all parameters given d loss/d output."""
+    def backward(self, d_out: np.ndarray, cache, grads: dict):
+        """Add to grads the parameter gradients of a scalar loss, given d_out,
+        its gradient w.r.t. the output of a float64 forward with want_cache
+        at a (b, 1) array of steps."""
         p = self.params
-        tokens, te, h0, s_in, pt, pcache, blocks, h_final = cache
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        dy = d_out.reshape(self.channels, -1).T  # (n, c)
-        grads["out.w"] += h_final.T @ dy
-        grads["out.b"] += dy.sum(axis=0)
+        tokens, te, h0, s_in, idx, enc, blocks, h_final = cache
+        dy = d_out.reshape(len(d_out), self.channels, -1).swapaxes(1, 2)  # (b, n, c)
+        _linear_grads(grads, "out.w", "out.b", h_final, dy)
         dh = dy @ p["out.w"].T
-        d_pt = np.zeros_like(pt) if pt is not None else None
-        d_te = np.zeros(self.width)
+        d_pt = 0.0  # summed over the blocks' cross-attention
 
         for i in reversed(range(self.depth)):
             b = f"b{i}"
             sa_cache, ca_out, ca_cache, s_b, h_ca, g = blocks[i]
             # feed-forward
             d_g = dh @ p[f"{b}.ff.w2"].T
-            grads[f"{b}.ff.w2"] += g.T @ dh
-            grads[f"{b}.ff.b2"] += dh.sum(axis=0)
+            _linear_grads(grads, f"{b}.ff.w2", f"{b}.ff.b2", g, dh)
             d_u = d_g * (1.0 - g * g)
-            grads[f"{b}.ff.w1"] += h_ca.T @ d_u
-            grads[f"{b}.ff.b1"] += d_u.sum(axis=0)
-            d_hca = dh + d_u @ p[f"{b}.ff.w1"].T
-            # cross-attention with time scaling
-            if ca_cache is not None:
-                d_ca_out = d_hca * s_b
-                d_sb = (d_hca * ca_out).sum(axis=0)
-                grads[f"{b}.ca.ts.w"] += np.outer(te, d_sb)
-                grads[f"{b}.ca.ts.b"] += d_sb
-                d_te += p[f"{b}.ca.ts.w"] @ d_sb
-                d_q, d_kv = _attn_backward(d_ca_out, ca_cache, p, f"{b}.ca",
+            _linear_grads(grads, f"{b}.ff.w1", f"{b}.ff.b1", h_ca, d_u)
+            dh = dh + d_u @ p[f"{b}.ff.w1"].T
+            # cross-attention with time scaling, on the prompted patches
+            if idx:
+                d_hca = dh[idx]
+                d_sb = (d_hca * ca_out).sum(axis=1, keepdims=True)  # (k, 1, d)
+                _linear_grads(grads, f"{b}.ca.ts.w", f"{b}.ca.ts.b", te[idx], d_sb)
+                d_q, d_kv = _attn_backward(d_hca * s_b, ca_cache, p, f"{b}.ca",
                                            grads, self.heads)
-                d_hsa = d_hca + d_q
+                dh[idx] += d_q
                 d_pt += d_kv
-            else:
-                d_hsa = d_hca
             # self-attention
-            d_q, d_kv = _attn_backward(d_hsa, sa_cache, p, f"{b}.sa",
+            d_q, d_kv = _attn_backward(dh, sa_cache, p, f"{b}.sa",
                                        grads, self.heads)
-            dh = d_hsa + d_q + d_kv
+            dh = dh + d_q + d_kv
 
         # prompt encoder
-        if d_pt is not None:
-            tp, sims = pcache
-            d_lin = d_pt * sims[:, None]
-            grads["prompt.w"] += tp.T @ d_lin
-            grads["prompt.b"] += d_lin.sum(axis=0)
+        if idx:
+            tp, sims = (np.stack(a) for a in zip(*(pc for _, pc in enc)))
+            d_lin = d_pt * sims[..., None]
+            _linear_grads(grads, "prompt.w", "prompt.b", tp, d_lin)
 
         # embedding-time scaling
-        d_h0 = dh * (1.0 + s_in)
-        d_sin = (dh * h0).sum(axis=0)
-        grads["time_in.w"] += np.outer(te, d_sin)
-        grads["time_in.b"] += d_sin
-        grads["embed.w"] += tokens.T @ d_h0
-        grads["embed.b"] += d_h0.sum(axis=0)
-        return grads
+        d_h0 = dh * s_in
+        d_sin = (dh * h0).sum(axis=1, keepdims=True)  # (b, 1, d)
+        _linear_grads(grads, "time_in.w", "time_in.b", te, d_sin)
+        _linear_grads(grads, "embed.w", "embed.b", tokens, d_h0)
 
-    def loss_and_grads(self, x_t: np.ndarray, t: int, target: np.ndarray,
-                       prompt=None):
-        """MSE to the clean target patch and its parameter gradients."""
-        out, cache = self.forward(x_t, t, prompt, want_cache=True)
-        diff = out - target.astype(np.float64)
-        loss = float(np.mean(diff * diff))
-        d_out = 2.0 * diff / diff.size
-        return loss, self.backward(d_out, cache)
+    def loss_and_grads(self, x_t: np.ndarray, t, target: np.ndarray,
+                       prompts=None):
+        """MSE of a (B, c, V, V) batch to its targets, and its parameter
+        gradients, at one step t or one per patch; in float64, in the
+        _chunks of __call__, each one's backward right after its forward."""
+        chunks = self._chunks(x_t, prompts)
+        t = np.broadcast_to(t, len(x_t))[:, None]
+        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        loss = 0.0
+        for s, pr in chunks:
+            cond = self._time_cond(t[s], self.params)
+            out, cache = self.forward(x_t[s], cond, pr, self.params, want_cache=True)
+            diff = out - target[s]
+            loss += float(np.sum(diff * diff))
+            self.backward(2.0 * diff / x_t.size, cache, grads)
+        return loss / x_t.size, grads
 
 
 # ---------------------------------------------------------------------------
@@ -696,21 +698,11 @@ def make_dit_gaussian_objective(model: PatchDiT, schedule: NoiseSchedule,
     std = np.sqrt(stats.var)
 
     def objective(rng):
-        total = 0.0
-        grads = None
-        for _ in range(batch):
-            x0 = stats.mean + std * rng.standard_normal(shape)
-            t = int(rng.integers(1, schedule.T + 1))
-            eps = rng.standard_normal(shape)
-            x_t = forward_sample(schedule, x0, t, eps)
-            loss, g = model.loss_and_grads(x_t, t, x0)
-            total += loss
-            if grads is None:
-                grads = g
-            else:
-                for k in grads:
-                    grads[k] += g[k]
-        for k in grads:
-            grads[k] /= batch
-        return total / batch, grads
+        x0, x_t = np.empty((2, batch) + shape)
+        t = np.empty(batch, np.int64)
+        for i in range(batch):
+            x0[i] = stats.mean + std * rng.standard_normal(shape)
+            t[i] = rng.integers(1, schedule.T + 1)
+            x_t[i] = forward_sample(schedule, x0[i], int(t[i]), rng.standard_normal(shape))
+        return model.loss_and_grads(x_t, t, x0)
     return objective

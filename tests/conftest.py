@@ -28,6 +28,13 @@ class CountingDenoiser:
         return self.denoiser(x_t, t, prompts)
 
 
+def forward64(dit, x, t, prompts=None):
+    """PatchDiT's forward of a (b, c, V, V) batch in float64, at one step t
+    or one step per patch: the reference its float32 inference is held to."""
+    p = dit.params
+    return dit.forward(x, dit._time_cond(t, p), prompts or [None] * len(x), p)
+
+
 def forward_step(betas, x_prev, t, eps):
     """One forward transition: sqrt(1 - beta_t) x_{t-1} + sqrt(beta_t) eps,
     beta_t = betas[t - 1] (the schedule stores only the alpha_bars)."""

@@ -176,8 +176,8 @@ def test_criterion_7_full_gradient_check():
     prompt = RetrievalResult(indices=np.arange(3),
                              similarities=np.array([0.9, 0.5, 0.2], np.float32),
                              priors=priors)
-    _, g = dit.loss_and_grads(x_t, 77, target, prompt)
-    worst_dit = _fd_sweep(lambda: dit.loss_and_grads(x_t, 77, target, prompt)[0],
+    _, g = dit.loss_and_grads(x_t[None], 77, target[None], [prompt])
+    worst_dit = _fd_sweep(lambda: dit.loss_and_grads(x_t[None], 77, target[None], [prompt])[0],
                           dit.params, g)
 
     grm = GlobalRestorer(channels=1, hidden=4, seed=7)

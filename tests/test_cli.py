@@ -507,6 +507,21 @@ def test_bad_checkpoint_exits_3(tmp_path, capsys, sections):
     assert capsys.readouterr().err.startswith("i/o error")
 
 
+@pytest.mark.parametrize("width", [6, 10])
+def test_dit_checkpoint_width_off_the_head_count_exits_3(tmp_path, capsys, width):
+    # the CLI builds 4-head DiTs, and no flag or config sets the width: an
+    # embed.w whose width 4 does not divide is a malformed checkpoint
+    ckpt = tmp_path / "dit.psck"
+    save_params(ckpt, PatchDiT(channels=1, patch=16, width=width, depth=1, heads=2).params)
+    lr = tmp_path / "lr.psg"
+    save_grid(lr, np.zeros((1, 16, 16), np.float32))
+    for argv in (["sr", "--input", str(lr), "--output", str(tmp_path / "out.psg")],
+                 ["bench", "--size", "16x16"]):
+        assert cli.main([*argv, "--dit", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and "'embed.w'" in err
+
+
 def test_oversized_memory_header_exits_3(tmp_path, capsys):
     mem = tmp_path / "huge.rtm"
     mem.write_bytes(b"RTM2" + struct.pack("<4IQ", 2**31, 2**31, 1, 16, 0) + bytes(64))

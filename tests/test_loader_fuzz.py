@@ -116,6 +116,9 @@ checkpoint_files = st.one_of(
 # the default schedule, which a config of the default schedule accepts
 @example(_schedule_header + struct.pack("<BI", 1, 3)
          + np.array([1000, 1e-4, 0.02], "<f4").tobytes())
+# a schedule holding a NaN, which check_schedule refuses as a FormatError
+@example(_schedule_header + struct.pack("<BI", 1, 3)
+         + np.array([1000, np.nan, 0.02], "<f4").tobytes())
 def test_load_params_any_bytes(raw):
     params = _load(load_params, raw)
     if params is not None:

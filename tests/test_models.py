@@ -18,6 +18,8 @@ from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import build_linear_schedule, forward_sample
 
+from conftest import forward64
+
 
 def _prompt(rng, k, channels, patch):
     priors = rng.standard_normal((k, channels, patch, patch)).astype(np.float32)
@@ -36,6 +38,16 @@ def test_time_embed_values():
     assert e[2] == pytest.approx(np.cos(3.0))
     with pytest.raises(ConfigError):
         time_embed(1, 5)
+
+
+def test_time_embed_of_steps_stacks_the_scalar_embeddings():
+    # training embeds one step per patch; each row must be the bits of the
+    # one-step embedding
+    steps = np.array([1, 2, 17, 300, 499, 500, 999, 1000])
+    got = time_embed(steps, 64)
+    assert got.shape == (8, 64)
+    assert np.array_equal(got, np.stack([time_embed(int(t), 64) for t in steps]))
+    assert np.array_equal(time_embed(steps.reshape(2, 4), 64), got.reshape(2, 4, 64))
 
 
 def test_dit_shapes_and_determinism():
@@ -57,9 +69,9 @@ def test_dit_batch_matches_per_patch_forward(dit_f32_tol):
     rng = np.random.Generator(np.random.PCG64(11))
     x = rng.standard_normal((3, 1, 4, 4))
     prompts = [_prompt(rng, 3, 1, 4), None, _prompt(rng, 3, 1, 4)]
-    ref = np.stack([dit.forward(xi, 55, p) for xi, p in zip(x, prompts)])
+    ref = np.stack([forward64(dit, xi[None], 55, [p])[0] for xi, p in zip(x, prompts)])
     assert np.max(np.abs(dit(x, 55, prompts) - ref)) <= dit_f32_tol
-    ref = np.stack([dit.forward(xi, 55) for xi in x])
+    ref = np.stack([forward64(dit, xi[None], 55)[0] for xi in x])
     assert np.max(np.abs(dit(x, 55) - ref)) <= dit_f32_tol
     with pytest.raises(ConfigError):
         dit(x, 55, prompts[:2])
@@ -75,7 +87,7 @@ def test_dit_float32_inference_within_bound_of_float64_forward(dit_f32_tol):
                _prompt(rng, 4, 1, 16), _prompt(rng, 4, 1, 16)]
     worst = 0.0
     for t in (1, 500, 1000):
-        ref = np.stack([dit.forward(xi, t, p) for xi, p in zip(x, prompts)])
+        ref = np.stack([forward64(dit, xi[None], t, [p])[0] for xi, p in zip(x, prompts)])
         worst = max(worst, float(np.max(np.abs(dit(x, t, prompts) - ref))))
     assert worst <= dit_f32_tol
 
@@ -213,7 +225,7 @@ def test_cross_attention_zero_time_scale_is_identity():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.standard_normal((2, 1, 4, 4))
     prompt = _prompt(rng, 3, 1, 4)
-    assert np.array_equal(dit.forward(x[0], 5, prompt), dit.forward(x[0], 5))
+    assert np.array_equal(forward64(dit, x[:1], 5, [prompt]), forward64(dit, x[:1], 5))
     assert np.array_equal(dit(x, 5, [prompt, prompt]), dit(x, 5))
 
 
@@ -246,7 +258,7 @@ def test_cross_attention_prompt_permutation_invariance(dit_f32_tol):
     shuffled = RetrievalResult(indices=prompt.indices[perm],
                                similarities=prompt.similarities[perm],
                                priors=prompt.priors[perm])
-    a, b = dit.forward(x[0], 2, prompt), dit.forward(x[0], 2, shuffled)
+    a, b = forward64(dit, x, 2, [prompt]), forward64(dit, x, 2, [shuffled])
     assert np.max(np.abs(a - b)) <= 1e-10
     a, b = dit(x, 2, [prompt]), dit(x, 2, [shuffled])
     assert np.max(np.abs(a - b)) <= dit_f32_tol
@@ -274,15 +286,55 @@ def test_dit_gradients_spot_check():
     x_t = rng.standard_normal((1, 4, 4))
     target = rng.standard_normal((1, 4, 4))
     prompt = _prompt(rng, 3, 1, 4)
-    _, grads = dit.loss_and_grads(x_t, 123, target, prompt)
+    _, grads = dit.loss_and_grads(x_t[None], 123, target[None], [prompt])
     entries = [("embed.w", (0, 3)), ("time_in.w", (2, 1)), ("prompt.w", (5, 2)),
                ("b0.sa.wq", (1, 4)), ("b0.ca.wk", (0, 0)),
                ("b0.ca.ts.w", (3, 3)), ("b1.ff.w1", (2, 7)),
                ("b1.ca.wo", (6, 1)), ("out.w", (4, 0)), ("out.b", (0,))]
     worst = _fd_check(
-        lambda: dit.loss_and_grads(x_t, 123, target, prompt)[0],
+        lambda: dit.loss_and_grads(x_t[None], 123, target[None], [prompt])[0],
         dit.params, entries, grads)
     assert worst <= 1e-4
+
+
+def test_dit_batched_loss_and_grads_is_the_mean_of_single_patch_calls():
+    # 144 tokens and 4 heads: chunks of (1 << 18) // (4 * 144 * 144) = 3
+    # patches, so 7 patches make chunks of 3, 3 and 1, the second without a
+    # prompt; each patch has its own step
+    dit = PatchDiT(channels=1, patch=12, width=16, depth=2, heads=4, seed=11)
+    rng = np.random.Generator(np.random.PCG64(18))
+    x_t, target = rng.standard_normal((2, 7, 1, 12, 12))
+    t = rng.integers(1, 1001, 7)
+    ka, kb = _prompt(rng, 3, 1, 12), _prompt(rng, 3, 1, 12)
+    prompts = [ka, None, kb, None, None, None, kb]
+    loss, grads = dit.loss_and_grads(x_t, t, target, prompts)
+    one = [dit.loss_and_grads(x_t[i:i + 1], t[i], target[i:i + 1], prompts[i:i + 1])
+           for i in range(7)]
+    assert abs(loss - np.mean([l for l, _ in one])) <= 1e-12 * loss
+    assert set(grads) == set(dit.params)
+    for k, g in grads.items():
+        ref = np.mean([gi[k] for _, gi in one], axis=0)
+        assert np.max(np.abs(ref)) > 0, k
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def test_dit_training_step_memory_does_not_grow_with_batch(schedule1000):
+    # at patch 16 the DiT's chunks hold one patch, and the objective runs
+    # each chunk's forward and backward before the next: a step holds one
+    # chunk's caches (about 13 MB here) whatever the batch; one whole-batch
+    # forward would hold 8x more at batch 64 than at batch 8
+    def peak(batch):
+        dit = PatchDiT(channels=1, patch=16, width=32, depth=2, heads=4, seed=0)
+        obj = make_dit_gaussian_objective(dit, schedule1000,
+                                          GaussianOracleStats(0.0, 1.0), batch=batch)
+        tracemalloc.start()
+        try:
+            obj(np.random.Generator(np.random.PCG64(0)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 1.25 * peak(8)
 
 
 def _conv3x3_reference(x, w, b):

@@ -13,7 +13,7 @@ from patchscaler.pipeline import PipelineConfig, _unified_cfg
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import forward_sample, make_substeps, reverse_step
 
-from conftest import CountingDenoiser
+from conftest import CountingDenoiser, forward64
 
 S, M, H = GroupLabel.SIMPLE, GroupLabel.MEDIUM, GroupLabel.HARD
 TAUS, STEPS = PipelineConfig.taus, PipelineConfig.steps  # the default table
@@ -115,7 +115,7 @@ def test_run_group_matches_serial_reference(schedule1000, kind, dit_f32_tol):
         prompts = [prior, None, None, prior, None]
 
         def one(x, t, prompt):
-            return d.forward(x, t, prompt).astype(x.dtype)
+            return forward64(d, x[None], t, [prompt])[0].astype(x.dtype)
     got = run_group(d, schedule1000, patches, 400, 8, prompts=prompts, seed=21,
                     indices=indices)
     ref = _serial_run_group(one, schedule1000, patches, 400, 8, prompts, 21, indices)
