@@ -311,7 +311,8 @@ class PatchDiT:
 
         # prompt encoder
         if idx:
-            tp, sims = (np.stack(a) for a in zip(*(pc for _, pc in enc)))
+            tp = np.stack([tp for _, (tp, _) in enc])  # (k, K, c V V)
+            sims = np.stack([sims for _, (_, sims) in enc])
             d_lin = d_pt * sims[..., None]
             _linear_grads(grads, "prompt.w", "prompt.b", tp, d_lin)
 
