@@ -191,6 +191,8 @@ def cmd_rtm_build(args):
         if g.shape[0] != shape[0] or min(g.shape[1:]) < cfg.patch:
             raise DimensionMismatchError(f"{path}: grid {g.shape} does not hold "
                                          f"{shape} patches")
+        if not np.isfinite(g).all():
+            raise NumericError(f"{path}: grid is not finite")
         patches += decompose(g, cfg.patch, 0)[0]
     keys, indexed = index_patches(patches, extractor)
     mem = compact_memory(keys, indexed, args.size, extractor.seed)
@@ -204,6 +206,8 @@ def cmd_rtm_query(args):
     cfg = _build_config(args)
     mem = load_memory(args.mem)
     patch = gridio.load_grid(args.patch_file)
+    if not np.isfinite(patch).all():
+        raise NumericError(f"{args.patch_file}: query patch is not finite")
     if patch.shape != mem.values.shape[1:]:
         raise DimensionMismatchError(f"patch {patch.shape} != memory patches "
                                      f"{mem.values.shape[1:]}")

@@ -14,7 +14,6 @@ in the same patch chunks.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -390,32 +389,25 @@ def _channels_last(a):
 
 # Threads the GRM convs split their bands among: every CPU this process may
 # use.  The pool holds _WORKERS - 1 of them, as the calling thread runs one
-# share itself, and is made on first use.  A grid of fewer cells than
+# share itself; it is made with the module and starts a thread only when a
+# conv first hands it a run.  A grid of fewer cells than
 # _MIN_THREADED_CELLS (256x256) stays on the calling thread: its conv takes
 # a few ms, and in 50 s benchmark runs at 96x96 (2 vCPUs) a process whose
 # conv had used the second thread read about +10% per image and +37% on
 # set-up against one that had not.
 _WORKERS = len(os.sched_getaffinity(0))
 _MIN_THREADED_CELLS = 1 << 16
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _conv_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="grm-conv")
-        return _pool
+_pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="grm-conv")
 
 
 def _conv3x3_forward(x, w, b, tanh=False, sink=None):
-    # im2col + GEMM in bands of output rows, run by k threads, k = _WORKERS
-    # (1 on a small grid, see above) capped at the band count: k - 1 runs go
-    # to the pool and the calling thread makes the last.  Each run takes the
-    # next band not yet taken until none is left, so a thread the OS leaves
-    # waiting holds up at most the band it is on, and a run the pool has not
-    # started when the bands run out is cancelled.  A band holds
+    # im2col + GEMM in bands of output rows, split into k runs, k = _WORKERS
+    # (1 on a small grid, see above) capped at the band count: the calling
+    # thread makes the first run and hands the k - 1 others to the pool, so
+    # at k = 1 it hands off nothing and the pool starts no thread.  Each run
+    # takes the next band not yet taken until none is left, so a thread the
+    # OS leaves waiting holds up at most the band it is on, and a run the
+    # pool has not started when the bands run out is cancelled.  A band holds
     # max(1, 4096 // (width * k)) rows, so the k column buffers together
     # stay near 4096 cells, the fastest single band probed at 512x512, where
     # the whole column matrix would take ~300 MB.  The caller allocates
@@ -460,13 +452,9 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None):
     starts = iter(range(0, h_, band))
     runs = [(x, wt, b, sink, starts, band, xbs[i], bufs[i], outs[i], tanh)
             for i in range(k)]
-    if k == 1:
-        _conv_bands(*runs[0])
-        return y
-    pool = _conv_pool()
-    futures = [pool.submit(_conv_bands, *run) for run in runs[:-1]]
+    futures = [_pool.submit(_conv_bands, *run) for run in runs[1:]]
     try:
-        _conv_bands(*runs[-1])
+        _conv_bands(*runs[0])
     finally:
         # a run still queued is cancelled: waiting would last until the
         # pool's thread takes it up

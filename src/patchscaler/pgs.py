@@ -88,16 +88,12 @@ def _patch_rng(seed: int, indices, out: np.ndarray) -> None:
 
     One reused PCG64 takes each patch's hashed words as PCG64's seeding
     does: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc.
-    An index of 2^32 or more hashes two entropy words, so it takes the
-    per-patch SeedSequence.
+    Every index must be a uint32, as run_group checks.
     """
-    words = iter(_seed_words(seed, np.array(
-        [i for i in indices if i < 1 << 32], np.uint32)).tolist())
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for e, i in zip(out, indices):
-        w0, w1, w2, w3 = next(words) if i < 1 << 32 else \
-            np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist()
+    words = _seed_words(seed, np.array(indices, np.uint32)).tolist()
+    for e, (w0, w1, w2, w3) in zip(out, words):
         inc = ((w2 << 64 | w3) << 1 | 1) & _M128
         state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
@@ -123,15 +119,15 @@ def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
     per patch, none for an empty group.  Noise for patches[k] is drawn
     from (seed, indices[k]), its index in the image, for the whole group
     at once, so results are order independent and do not depend on the
-    chunking; a negative seed or index raises ConfigError.  A non-finite
-    sample raises NumericError.
+    chunking; a negative seed, or an index outside [0, 2**32), raises
+    ConfigError.  A non-finite sample raises NumericError.
     """
     y0 = np.asarray(patches)
     ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
     if len(indices) != len(y0) or (prompts is not None and len(prompts) != len(y0)):
         raise ConfigError("prompts/indices must align with patches")
-    if seed < 0 or any(i < 0 for i in indices):
-        raise ConfigError("seed and patch indices must be >= 0")
+    if seed < 0 or any(not 0 <= i < 1 << 32 for i in indices):
+        raise ConfigError("seed must be >= 0 and patch indices in [0, 2**32)")
     if not len(y0):
         return y0
     eps = np.empty(y0.shape)

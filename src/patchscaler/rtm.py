@@ -8,6 +8,7 @@ runs through the same feature map.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DegenerateQueryError, DimensionMismatchError,
-                     GridShapeError, MagicMismatchError, TruncatedFileError)
+                     FormatError, GridShapeError, MagicMismatchError, NumericError,
+                     TruncatedFileError)
 
 _MAGIC = b"RTM2"
 _HEADER = struct.Struct("<4IQ")  # n, D, c, V, extractor seed
@@ -71,9 +73,12 @@ class TextureExtractor:
 
 
 def extract_query(t, patch: np.ndarray) -> np.ndarray:
-    """Unit-normalized feature vector of a patch; errors on a zero feature."""
+    """Unit-normalized feature vector of a patch; errors on a zero or
+    non-finite feature."""
     feat = np.asarray(t(patch), dtype=np.float32)
     norm = float(np.linalg.norm(feat.astype(np.float64)))
+    if not math.isfinite(norm):
+        raise NumericError("feature vector is not finite")
     if norm < 1e-12:
         raise DegenerateQueryError("feature vector has zero norm")
     return (feat / norm).astype(np.float32)
@@ -109,12 +114,15 @@ def index_patches(patches, t) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def compact_memory(keys, patches, m: int, extractor_seed: int) -> TextureMemory:
     """m of the indexed patches chosen by FPS over key space; FPS rejects an
-    m above the number of patches."""
+    m above the number of patches.  A chosen patch that is not finite (an
+    inf cell can still have a finite key) raises NumericError."""
     if not patches:
         raise ConfigError("no source patch has features")
     keys = np.stack(keys)
     idx = farthest_point_sample(keys, m)
     values = np.stack([patches[i] for i in idx]).astype(np.float32)
+    if not np.isfinite(values).all():
+        raise NumericError("a memory patch is not finite")
     return TextureMemory(keys=keys[idx], values=values, extractor_seed=extractor_seed)
 
 
@@ -170,4 +178,6 @@ def load_memory(path) -> TextureMemory:
         val_bytes = f.read(val_count)
     keys = np.frombuffer(key_bytes, dtype="<f4").reshape(n, D).copy()
     values = np.frombuffer(val_bytes, dtype="<f4").reshape(n, c, V, V).copy()
+    if not (np.isfinite(keys).all() and np.isfinite(values).all()):
+        raise FormatError("memory keys or values are not finite")
     return TextureMemory(keys=keys, values=values, extractor_seed=seed)

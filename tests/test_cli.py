@@ -296,6 +296,59 @@ def test_rtm_query_featureless_patch_exits_3(tmp_path, capsys):
     assert err.startswith("i/o error") and "zeros.psg" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rtm_build_with_a_non_finite_cell_exits_4(tmp_path, capsys, bad):
+    # with a NaN cell FPS would pick patch 0 every time and write 8 copies of
+    # it; an inf cell saturates the extractor's tanh to a finite feature
+    grid = np.random.Generator(np.random.PCG64(9)).standard_normal((1, 96, 96))
+    grid[0, 40, 50] = bad
+    src = tmp_path / "g.psg"
+    save_grid(src, grid.astype(np.float32))
+    mem = tmp_path / "m.rtm"
+    rc = cli.main(["rtm", "build", "--src", str(src), "--out", str(mem), "--size", "8"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and "g.psg" in err
+    assert not mem.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rtm_query_with_a_non_finite_patch_exits_4(tmp_path, capsys, bad):
+    rng = np.random.Generator(np.random.PCG64(10))
+    mem = tmp_path / "m.rtm"
+    save_memory(build_memory(list(rng.standard_normal((4, 1, 16, 16))),
+                             TextureExtractor((1, 16, 16)), 4), mem)
+    query = rng.standard_normal((1, 16, 16)).astype(np.float32)
+    query[0, 3, 4] = bad
+    patch = tmp_path / "q.psg"
+    save_grid(patch, query)
+    assert cli.main(["rtm", "query", "--mem", str(mem), "--patch", str(patch)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and "q.psg" in err
+
+
+@pytest.mark.parametrize("part, bad", [("keys", np.nan), ("values", np.inf)])
+def test_non_finite_memory_exits_3(tmp_path, capsys, part, bad):
+    # rtm query and sr --rtm refuse a memory holding a NaN key or an inf value
+    # when they load it, before any similarity or sample is computed
+    rng = np.random.Generator(np.random.PCG64(11))
+    good = build_memory(list(rng.standard_normal((4, 1, 16, 16))),
+                        TextureExtractor((1, 16, 16)), 4)
+    arrays = {"keys": good.keys.copy(), "values": good.values.copy()}
+    arrays[part].flat[5] = bad
+    mem = tmp_path / "m.rtm"
+    save_memory(TextureMemory(**arrays), mem)
+    patch = tmp_path / "q.psg"
+    save_grid(patch, rng.standard_normal((1, 16, 16)).astype(np.float32))
+    out = tmp_path / "out.psg"
+    for argv in (["rtm", "query", "--mem", str(mem), "--patch", str(patch)],
+                 ["sr", "--input", str(patch), "--output", str(out), "--rtm", str(mem)]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and "not finite" in err
+    assert not out.exists()
+
+
 def test_rtm_query_uses_the_extractor_in_the_file(tmp_path, capsys):
     # --seed does not reach the feature map: the memory names its own, so a
     # query under another seed finds the same neighbours

@@ -72,11 +72,14 @@ def test_load_grid_any_bytes(raw):
 @settings(max_examples=300, deadline=None)
 @given(memory_files)
 @example(b"RTM2" + bytes(23))
+# one entry of one key, a NaN, and one 1x1 value
+@example(b"RTM2" + struct.pack("<4IQ", 1, 1, 1, 1, 0) + np.array([np.nan, 0], "<f4").tobytes())
 def test_load_memory_any_bytes(raw):
     mem = _load(load_memory, raw)
     if mem is not None:
         assert raw[:4] == b"RTM2"
         assert isinstance(mem, TextureMemory) and mem.count >= 1
+        assert np.isfinite(mem.keys).all() and np.isfinite(mem.values).all()
         assert mem.values.shape[0] == mem.keys.shape[0]
         assert mem.extractor_seed == struct.unpack("<Q", raw[20:28])[0]
 

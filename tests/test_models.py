@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -392,13 +394,12 @@ def test_conv_writes_every_cell_of_a_channels_last_out():
 
 @pytest.fixture(params=[1, 2, 3, 4])
 def conv_workers(request, monkeypatch):
-    # the conv's worker count, with a pool of its own made on first use
+    # the conv's worker count, with a pool of its own
     monkeypatch.setattr(models, "_WORKERS", request.param)
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, request.param - 1)))
     yield request.param
-    if models._pool is not None:
-        models._pool.shutdown()
+    models._pool.shutdown()
 
 
 def _serial_conv(monkeypatch, *args, **kwargs):
@@ -439,7 +440,7 @@ def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
     # no thread takes leaves NaN in out, and threads sharing a buffer garble it
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
     monkeypatch.setattr(models, "_WORKERS", 8)
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
     rng = np.random.Generator(np.random.PCG64(17))
     x, w, b = rng.standard_normal((1, 3000, 16)), rng.standard_normal((16, 1, 3, 3)), np.zeros(16)
     ref = _serial_conv(monkeypatch, x, w, b)
@@ -455,17 +456,37 @@ def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
         models._pool.shutdown()
 
 
-def test_conv_makes_no_pool_for_one_worker_one_band_or_a_small_grid(monkeypatch):
-    monkeypatch.setattr(models, "_pool", None)
-    w, b = np.ones((4, 1, 3, 3)), np.zeros(4)
-    monkeypatch.setattr(models, "_WORKERS", 4)
-    _conv3x3_forward(np.ones((1, 96, 96)), w, b)  # 9216 cells < 256 * 256
-    assert models._pool is None
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    _conv3x3_forward(np.ones((1, 20, 30)), w, b)  # 20 rows, one band of 34
-    monkeypatch.setattr(models, "_WORKERS", 1)
-    _conv3x3_forward(np.ones((1, 100, 100)), w, b)
-    assert models._pool is None
+class _RefusingPool:
+    # a pool stub: a conv that hands it a run fails
+    def submit(self, *args):
+        raise AssertionError("a run was handed to the pool")
+
+
+def test_conv_hands_no_run_to_the_pool_for_one_worker_one_band_or_a_small_grid(monkeypatch):
+    monkeypatch.setattr(models, "_pool", _RefusingPool())
+    rng = np.random.Generator(np.random.PCG64(21))
+    w, b = rng.standard_normal((4, 1, 3, 3)), rng.standard_normal(4)
+    # 9216 cells < 256 * 256 at 4 workers; 20 rows, one band of 34; 1 worker
+    for workers, min_cells, shape in ((4, 1 << 16, (1, 96, 96)), (4, 0, (1, 20, 30)),
+                                      (1, 0, (1, 100, 100))):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        monkeypatch.setattr(models, "_MIN_THREADED_CELLS", min_cells)
+        x = rng.standard_normal(shape)
+        assert np.array_equal(_conv3x3_forward(x, w, b), _conv3x3_reference(x, w, b))
+
+
+def test_grm_forward_on_a_small_grid_starts_no_thread():
+    # the pool is made at import and starts a thread only when handed a run;
+    # a 96x96 grid stays on the calling thread
+    code = ("import threading\n"
+            "import numpy as np\n"
+            "from patchscaler.models import GlobalRestorer\n"
+            "GlobalRestorer(channels=1, hidden=16, seed=0).forward(np.ones((1, 96, 96)))\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_grm_forward_from_two_threads_at_once(conv_workers, monkeypatch):
@@ -517,7 +538,7 @@ def test_conv_does_not_wait_for_a_busy_pool(monkeypatch):
 def test_conv_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
     monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     bands, caller = models._conv_bands, threading.current_thread()
     failed = threading.Event()
 
@@ -576,7 +597,7 @@ def test_grm_heads_under_fast_thread_switches(monkeypatch):
         ref = grm.forward(x, want_cache=True)
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
     monkeypatch.setattr(models, "_WORKERS", 8)
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -594,7 +615,7 @@ def test_grm_inference_never_holds_the_second_hidden_layer(workers, monkeypatch)
     # at 512x512 h1 takes 16 * 512^2 * 8 B = 33.5 MB; a forward that also
     # held h2 (the same size again) peaks near 80 MB
     monkeypatch.setattr(models, "_WORKERS", workers)
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, workers - 1)))
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
     x = np.random.Generator(np.random.PCG64(19)).standard_normal((1, 512, 512))
     tracemalloc.start()
@@ -603,8 +624,7 @@ def test_grm_inference_never_holds_the_second_hidden_layer(workers, monkeypatch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        if models._pool is not None:
-            models._pool.shutdown()
+        models._pool.shutdown()
     assert peak < 1.5 * 16 * 512 * 512 * 8
 
 

@@ -159,7 +159,7 @@ def test_run_group_errors(schedule1000):
         run_group(d, schedule1000, patches, 400, 8, indices=[0])
 
 
-@pytest.mark.parametrize("seed, indices", [(-1, [0, 1]), (3, [0, -2])])
+@pytest.mark.parametrize("seed, indices", [(-1, [0, 1]), (3, [0, -2]), (3, [0, 2**32])])
 def test_run_group_rejects_negative_seed_or_index(schedule1000, seed, indices):
     rng = np.random.Generator(np.random.PCG64(14))
     with pytest.raises(ConfigError):
@@ -181,25 +181,6 @@ def test_seed_words_match_seed_sequence(seed, indices):
     ref = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
            for i in indices]
     assert got.dtype == np.uint64 and np.array_equal(got, ref)
-
-
-def test_large_indices_draw_seed_sequence_noise(schedule1000):
-    # indices of 2^32 and up hash two entropy words and take the per-patch
-    # path; every patch still draws its own SeedSequence([seed, i]) stream
-    indices = [0, 2**32, 2**40 + 3, 5]
-    eps = np.empty((4, 2, 3, 3))
-    pgs._patch_rng(19, indices, eps)
-    for e, i in zip(eps, indices, strict=True):
-        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([19, i])))
-        assert np.array_equal(e, ref.standard_normal(e.shape))
-    rng = np.random.Generator(np.random.PCG64(15))
-    patches = _patches(rng, 4)
-    d = _oracle(schedule1000)
-    got = run_group(d, schedule1000, patches, 400, 8, seed=19, indices=indices)
-    ref = _serial_run_group(lambda x, t, prompt: d(x, t), schedule1000, patches,
-                            400, 8, [None] * 4, 19, indices)
-    for a, b in zip(got, ref, strict=True):
-        assert np.array_equal(a, b)
 
 
 def test_patch_rng_called_once_per_nonempty_group(schedule1000, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from patchscaler.errors import (ConfigError, DegenerateQueryError,
                                 DimensionMismatchError, MagicMismatchError,
-                                TruncatedFileError)
+                                NumericError, TruncatedFileError)
 from patchscaler.rtm import (TextureExtractor, TextureMemory, build_memory,
                              extract_query, farthest_point_sample,
                              load_memory, retrieve_topk, save_memory)
@@ -28,6 +28,17 @@ def test_extract_query_degenerate():
     ex = TextureExtractor((1, 4, 4), seed=1)
     with pytest.raises(DegenerateQueryError):
         extract_query(ex, np.zeros((1, 4, 4), np.float32))
+
+
+def test_extract_query_not_finite():
+    # a NaN cell makes the extractor's feature NaN; an extractor may also
+    # return an inf feature for a finite patch
+    nan_cell = np.ones((1, 4, 4), np.float32)
+    nan_cell[0, 1, 2] = np.nan
+    for t, patch in ((TextureExtractor((1, 4, 4), seed=1), nan_cell),
+                     (lambda p: np.full(4, np.inf), np.ones((1, 2, 2)))):
+        with pytest.raises(NumericError, match="feature"):
+            extract_query(t, patch)
 
 
 def test_extractor_deterministic():
@@ -92,6 +103,15 @@ def test_build_memory_small_and_deterministic():
     assert np.allclose(np.linalg.norm(mem1.keys, axis=1), 1.0, atol=1e-5)
     assert np.array_equal(mem1.keys, mem2.keys)
     assert np.array_equal(mem1.values, mem2.values)
+
+
+def test_build_memory_refuses_a_non_finite_patch():
+    # an inf cell saturates the extractor's tanh to a finite key, so only the
+    # value shows it; a saved memory holding it would not load
+    patches = list(np.random.Generator(np.random.PCG64(7)).standard_normal((4, 1, 4, 4)))
+    patches[2][0, 1, 1] = np.inf
+    with pytest.raises(NumericError, match="memory patch"):
+        build_memory(patches, TextureExtractor((1, 4, 4), seed=0), 4)
 
 
 def test_memory_records_its_extractor(tmp_path):
