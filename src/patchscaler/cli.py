@@ -64,6 +64,17 @@ def _fraction(text: str) -> float:
     return val
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a rate: a finite value above 0."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from None
+    if not 0.0 < val < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return val
+
+
 def _size(text: str) -> tuple[int, int]:
     """argparse type for an HxW scene size of two positive integers."""
     try:
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--out", required=True)
     p.add_argument("--train-steps", type=_positive_int, default=1500)
-    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--lr", type=_positive_float, default=3e-3)
     p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--hidden", type=_positive_int, default=16)
     p.set_defaults(func=cmd_train_grm)
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--out", required=True)
     p.add_argument("--train-steps", type=_positive_int, default=2000)
-    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--lr", type=_positive_float, default=3e-3)
     p.add_argument("--channels", type=_positive_int, default=1)
     p.add_argument("--width", type=_positive_int, default=32)
     p.add_argument("--depth", type=_positive_int, default=2)

@@ -382,15 +382,10 @@ def _windows(x):
     return win.transpose(1, 2, 0, 3, 4)
 
 
-def _channels_last(a):
-    """(f, h, w) view of a copy of a that is channels-last in memory."""
-    return a.transpose(1, 2, 0).copy().transpose(2, 0, 1)
-
-
-# Threads the GRM convs split their bands among: every CPU this process may
-# use.  The pool holds _WORKERS - 1 of them, as the calling thread runs one
-# share itself; it is made with the module and starts a thread only when a
-# conv first hands it a run.  A grid of fewer cells than
+# Threads the GRM's conv trunk splits its super-bands among: every CPU this
+# process may use.  The pool holds _WORKERS - 1 of them, as the calling
+# thread runs one share itself; it is made with the module and starts a
+# thread only when the trunk first hands it a run.  A grid of fewer cells than
 # _MIN_THREADED_CELLS (256x256) stays on the calling thread: its conv takes
 # a few ms, and in 50 s benchmark runs at 96x96 (2 vCPUs) a process whose
 # conv had used the second thread read about +10% per image and +37% on
@@ -400,58 +395,75 @@ _MIN_THREADED_CELLS = 1 << 16
 _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="grm-conv")
 
 
-def _conv3x3_forward(x, w, b, tanh=False, sink=None):
-    # im2col + GEMM in bands of output rows, split into k runs, k = _WORKERS
-    # (1 on a small grid, see above) capped at the band count: the calling
-    # thread makes the first run and hands the k - 1 others to the pool, so
-    # at k = 1 it hands off nothing and the pool starts no thread.  Each run
-    # takes the next band not yet taken until none is left, so a thread the
-    # OS leaves waiting holds up at most the band it is on, and a run the
-    # pool has not started when the bands run out is cancelled.  A band holds
-    # max(1, 4096 // (width * k)) rows, so the k column buffers together
-    # stay near 4096 cells, the fastest single band probed at 512x512, where
-    # the whole column matrix would take ~300 MB.  The caller allocates
-    # every buffer: one a worker allocates lands in that thread's malloc
-    # arena and is not reused.
-    # Each run copies a band's rows of x, and the row above and below, into
-    # its zero-bordered row buffer, and fills its channels-first
-    # (c, 3, 3, rows, width) column buffer from that buffer's 3x3 windows
-    # in one copy.  The GEMM stays (cells, 9c) @ (9c, f), on a transposed
-    # view of the column buffer, so the (c, di, dj) reduction runs through
-    # the BLAS kernels of a plain im2col product, and neither the band
-    # height nor the thread that runs a band moves the bits.  The faster
-    # (f, 9c) @ (9c, cells) runs a band's trailing cells through other
-    # kernels and changes bits; so does a band of under ~75 cells with
-    # c >= 4 here, as OpenBLAS picks its small-matrix kernel by operand
-    # layout (every band of a grid 75 or more wide has at least 75 cells).
+def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
+    # The GRM's conv trunk: the 3x3 conv (w, b) of x and, with then =
+    # (w2, b2, sink2), the 3x3 conv (w2, b2) of its output; tanh applies to
+    # both.  im2col + GEMM in bands of max(1, 4096 // (width * k)) output
+    # rows, k = _WORKERS (1 on a small grid, see above), so the k column
+    # buffers together stay near 4096 cells, the fastest single band probed
+    # at 512x512, where the whole column matrix would take ~300 MB.
+    # The rows fall into super-bands: one band for one conv, and for two
+    # the fewest whole bands of at least 2^13 cells, a last one of under a
+    # band joining the one above.  k runs, k capped at the super-band count,
+    # each take the next super-band not yet taken until none is left, so a
+    # thread the OS leaves waiting holds up at most the super-band it is
+    # on.  The calling thread makes the first run and hands the k - 1
+    # others to the pool, so at k = 1 it hands off nothing and the pool
+    # starts no thread; a run the pool has not started when the super-bands
+    # run out is cancelled.  The caller allocates every buffer: one a worker
+    # allocates lands in that thread's malloc arena and is not reused.
+    # For a super-band [r0, r1) of two convs a run computes the first conv's
+    # rows [r0 - 1, r1 + 1) into a zero-bordered buffer of its own and the
+    # second's rows [r0, r1) from it, so no whole hidden layer is made and
+    # only the two halo rows are computed twice.  Each conv runs a
+    # super-band in the bands it has on the whole grid, the halo rows joining
+    # its first and last band: a band of its own, under ~75 cells, would
+    # move the bits (see below).
+    # A band's channels-first (c, 3, 3, rows, width) column buffer is filled
+    # from the 3x3 windows of its zero-bordered input rows in one copy.  The
+    # GEMM stays (cells, 9c) @ (9c, f), on a transposed view of the column
+    # buffer, so the (c, di, dj) reduction runs through the BLAS kernels of
+    # a plain im2col product, and neither the band height nor the thread
+    # that runs a band moves the bits.  The faster (f, 9c) @ (9c, cells)
+    # runs a band's trailing cells through other kernels and changes bits;
+    # so does a band of under ~75 cells with c >= 4 here, as OpenBLAS picks
+    # its small-matrix kernel by operand layout (every band of a grid 75 or
+    # more wide has at least 75 cells).
     # Each band's (cells, f) result gets the bias, and with tanh=True the
-    # tanh, and while still in cache goes to sink(r, o) as o, a channels-last
-    # (rows, width, f) view, r its first row; the conv then returns None.
-    # sink runs on the thread that made the band, touches only that band's
-    # rows and, like the bands, allocates no array.  Without a sink the
-    # bands go into a new C-contiguous (f, h, w) array, which is returned.
-    # The threads run only _conv_bands and the sink, which a tracer does
-    # not wrap.
+    # tanh, and while still in cache goes to its conv's sink(r, o) as o, a
+    # channels-last (rows, width, f) view of the rows its super-band owns
+    # (not the halo), r the first of them; the trunk then returns None.  The
+    # first of two convs may have no sink.  A sink runs on the thread that
+    # made the band, touches only those rows and, like the bands, allocates
+    # no array.  One conv without a sink puts its bands into a new
+    # C-contiguous (f, h, w) array, which is returned.  The threads run only
+    # _conv_bands and the sinks, which a tracer does not wrap.
     c, h_, w_ = x.shape
-    f = len(w)
-    wt = w.reshape(f, c * 9).T
     y = None
-    if sink is None:
-        y = np.empty((f, h_, w_))
+    if sink is None and then is None:
+        y = np.empty((len(w), h_, w_))
 
         def sink(r, o):
             y[:, r:r + len(o)] = o.transpose(2, 0, 1)
+    convs = [(w, b, sink)] + ([then] if then else [])
+    n = len(convs)
+    layers = [(cw.reshape(len(cw), -1).T, cb, cs) for cw, cb, cs in convs]
     k = _WORKERS if h_ * w_ >= _MIN_THREADED_CELLS else 1
     band = max(1, 4096 // (w_ * k))
-    k = max(1, min(k, -(-h_ // band)))
-    rows = min(band, h_)
-    xbs = np.zeros((k, c, rows + 2, w_ + 2))
-    bufs = np.empty((k, c * 9 * rows * w_))
-    outs = np.empty((k, rows * w_, f))
+    sup = band if n == 1 else band * -(-(1 << 13) // (band * w_))
+    starts = range(0, max(1, h_ - band + 1), sup)
+    k = min(k, len(starts))
+    # conv j's input channels, most input rows of a super-band, most band cells
+    cin = [c] + [len(cw) for cw, _, _ in convs[:-1]]
+    rows = [min(h_, sup + band - 1) + 2 * (n - j) for j in range(n)]
+    cells = [min(h_, band + 2 * (n - 1 - j)) * w_ for j in range(n)]
     # shared by the runs; next() on it is one C call, atomic under the GIL
-    starts = iter(range(0, h_, band))
-    runs = [(x, wt, b, sink, starts, band, xbs[i], bufs[i], outs[i], tanh)
-            for i in range(k)]
+    starts = iter(starts)
+    runs = [(x, layers, starts, sup, band, tanh,
+             [np.zeros((ci, r, w_ + 2)) for ci, r in zip(cin, rows)],
+             np.empty(max(9 * ci * m for ci, m in zip(cin, cells))),
+             np.empty(max(m * len(cw) for m, (cw, _, _) in zip(cells, convs))))
+            for _ in range(k)]
     futures = [_pool.submit(_conv_bands, *run) for run in runs[1:]]
     try:
         _conv_bands(*runs[0])
@@ -465,34 +477,52 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None):
     return y
 
 
-def _conv_bands(x, wt, b, sink, starts, band, xb, buf, o, tanh):
-    """The bands of _conv3x3_forward that start at the rows it takes from
-    starts, one at a time: rows of x into xb, their 3x3 windows into buf,
-    the GEMM into o and the result to sink."""
-    c, h_, w_ = x.shape
-    f = wt.shape[1]
-    # win[:, di, dj, i, j] is xb[:, i + di, j + dj], band row i's window on
-    # x row r + i + di - 1 and column j + dj - 1
-    s0, s1, s2 = xb.strides
-    win = np.lib.stride_tricks.as_strided(xb, (c, 3, 3, xb.shape[1] - 2, w_),
-                                          (s0, s1, s2, s1, s2))
-    for r in starts:
-        bh = min(band, h_ - r)
-        n = bh * w_
-        # xb row i holds x row r + i - 1, zero past either end of x; its
-        # first and last columns stay zero
-        lo, hi = max(0, 1 - r), min(bh + 2, h_ + 1 - r)
-        xb[:, :lo] = 0.0
-        xb[:, lo:hi, 1:-1] = x[:, r + lo - 1:r + hi - 1]
-        xb[:, hi:bh + 2] = 0.0
-        cols = buf[:c * 9 * n].reshape(c, 3, 3, bh, w_)
-        cols[...] = win[:, :, :, :bh]
-        ob = o[:n]
-        np.matmul(cols.reshape(c * 9, n).T, wt, out=ob)
-        ob += b
-        if tanh:
-            np.tanh(ob, out=ob)
-        sink(r, ob.reshape(bh, w_, f))
+def _conv_bands(x, layers, starts, sup, band, tanh, srcs, buf, o):
+    """The super-bands of _conv3x3_forward that start at the rows it takes
+    from starts, one at a time: rows of x into srcs[0], then each conv band
+    by band, its input's 3x3 windows into buf and the GEMM into o, the
+    result into the next conv's srcs entry and to the conv's sink."""
+    h_, w_ = x.shape[1:]
+    n = len(layers)
+    # win[:, di, dj, i, jj] is srcs[j][:, i + di, jj + dj]
+    wins = [np.lib.stride_tricks.as_strided(
+        s, (len(s), 3, 3, s.shape[1] - 2, w_), s.strides + s.strides[1:])
+        for s in srcs]
+    for r0 in starts:
+        r1 = h_ if r0 + sup + band > h_ else r0 + sup
+        # srcs[j] row i holds row r0 - n + j + i of conv j's input, zero past
+        # either end of the grid; its first and last columns stay zero
+        a, z = max(0, r0 - n), min(h_, r1 + n)
+        xb = srcs[0]
+        xb[:, :a - r0 + n] = 0.0
+        xb[:, a - r0 + n:z - r0 + n, 1:-1] = x[:, a:z]
+        xb[:, z - r0 + n:r1 - r0 + 2 * n] = 0.0
+        for j, (wt, b, sink) in enumerate(layers):
+            m = n - 1 - j  # halo rows conv j adds at either end
+            a, z = max(0, r0 - m), min(h_, r1 + m)
+            ci, f = len(srcs[j]), wt.shape[1]
+            nxt = srcs[j + 1] if j + 1 < n else None
+            if nxt is not None:
+                nxt[:, :a - r0 + m] = 0.0
+                nxt[:, z - r0 + m:r1 - r0 + 2 * m] = 0.0
+            for s in range(r0, r1, band):
+                lo = a if s == r0 else s
+                hi = z if s + band >= r1 else s + band
+                # output row r's window is wins[j] row r - r0 + m
+                nc = (hi - lo) * w_
+                cols = buf[:ci * 9 * nc].reshape(ci, 3, 3, hi - lo, w_)
+                cols[...] = wins[j][:, :, :, lo - r0 + m:hi - r0 + m]
+                ob = o[:nc * f].reshape(nc, f)
+                np.matmul(cols.reshape(ci * 9, nc).T, wt, out=ob)
+                ob += b
+                if tanh:
+                    np.tanh(ob, out=ob)
+                ob = ob.reshape(hi - lo, w_, f)
+                if nxt is not None:
+                    nxt[:, lo - r0 + m:hi - r0 + m, 1:-1] = ob.transpose(2, 0, 1)
+                if sink is not None:
+                    own = max(lo, r0)
+                    sink(own, ob[own - lo:min(hi, r1) - lo])
 
 
 def _conv3x3_backward(dy, x, w):
@@ -572,29 +602,35 @@ class GlobalRestorer:
         """(y_hr, conf), and with want_cache the training cache (x, h1, h2,
         sig) after them.
 
-        conv2's bands compute the heads from their channels-last tanh
-        result while it is in cache (see _heads_sink), so inference holds h1
-        but never the whole second hidden layer; with want_cache the bands
-        also write it, channels-last, for the backward.
+        One call of the conv trunk runs both convs in row super-bands, each
+        computing conv1's rows for conv2 with one halo row at either end,
+        and conv2's bands compute the heads from their channels-last tanh
+        result while it is in cache (see _heads_sink), so inference never
+        holds a whole hidden layer; with want_cache the bands also write h1
+        and h2, channels-last, for the backward.
         """
         if y_lr.ndim != 3 or y_lr.shape[0] != self.channels:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
         x = y_lr.astype(np.float64)
-        h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"], tanh=True)
         c, h, w = x.shape
+        f = len(p["conv1.w"])
         y_hr, conf = np.empty((c, h, w)), np.empty((1, h, w))
-        h2 = sig = None
+        h1 = h2 = sig = keep_h1 = None
         if want_cache:
-            h2, sig = np.empty((h, w, len(p["conv2.w"]))), np.empty((1, h, w))
-        _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], tanh=True,
-                         sink=_heads_sink(p, x, y_hr, conf, h2, sig))
+            h1, h2, sig = np.empty((h, w, f)), np.empty((h, w, f)), np.empty((1, h, w))
+
+            def keep_h1(r, o):
+                h1[r:r + len(o)] = o
+        _conv3x3_forward(x, p["conv1.w"], p["conv1.b"], tanh=True, sink=keep_h1,
+                         then=(p["conv2.w"], p["conv2.b"],
+                               _heads_sink(p, x, y_hr, conf, h2, sig)))
         if not want_cache:
             return y_hr, conf
         # the backward's summation order follows the memory layout of h2
         # and h1: both stay channels-last, the layout the checkpoint and
         # golden digests were made with, so trained weights keep their bits
-        return y_hr, conf, (x, _channels_last(h1), h2.transpose(2, 0, 1), sig)
+        return y_hr, conf, (x, h1.transpose(2, 0, 1), h2.transpose(2, 0, 1), sig)
 
     def __call__(self, y_lr: np.ndarray):
         return self.forward(y_lr)
@@ -656,19 +692,26 @@ def train_toy(params: dict, objective, steps: int, lr: float = 1e-3,
     """Adam loop over a seeded objective; returns the loss trace.
 
     objective(rng) must return (loss, grads) for a freshly sampled batch.
-    Non-finite losses abort with NumericError instead of being swallowed.
+    Non-finite losses abort with NumericError instead of being swallowed,
+    as do overflows and invalid values on the calling thread: a step too
+    large can overflow a hidden layer that tanh then saturates, leaving
+    the loss finite.
     """
     if steps < 1:
         raise ConfigError("step count must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     opt = Adam(params, lr=lr)
     trace = []
-    for _ in range(steps):
-        loss, grads = objective(rng)
-        if not np.isfinite(loss):
-            raise NumericError(f"training diverged, loss={loss}")
-        trace.append(loss)
-        opt.step(grads)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for _ in range(steps):
+                loss, grads = objective(rng)
+                if not np.isfinite(loss):
+                    raise NumericError(f"training diverged, loss={loss}")
+                trace.append(loss)
+                opt.step(grads)
+        except FloatingPointError as e:
+            raise NumericError(f"training diverged: {e}") from None
     return trace
 
 

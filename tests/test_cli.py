@@ -92,9 +92,20 @@ def test_train_grm_at_a_patch_size_that_does_not_divide_48(tmp_path, capsys):
     assert "trained GRM for 2 steps" in capsys.readouterr().out
 
 def test_train_dit_divergence_exits_4(tmp_path, capsys):
+    # a finite rate so large that the second step overflows; under the
+    # suite's error::RuntimeWarning filter a warning would escape main
     ckpt = tmp_path / "dit.psck"
-    rc = cli.main(["train-dit", "--out", str(ckpt), "--lr", "nan", "--train-steps", "2",
+    rc = cli.main(["train-dit", "--out", str(ckpt), "--lr", "1e300", "--train-steps", "3",
                    "--width", "8", "--depth", "1", "--batch", "2", "--seed", "0"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("numeric failure")
+    assert not ckpt.exists()
+
+
+def test_train_grm_divergence_exits_4(tmp_path, capsys):
+    ckpt = tmp_path / "grm.psck"
+    rc = cli.main(["train-grm", "--out", str(ckpt), "--lr", "1e300", "--train-steps", "3",
+                   "--hidden", "4", "--seed", "0"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("numeric failure")
     assert not ckpt.exists()
@@ -708,6 +719,18 @@ def test_texture_frac_must_be_a_fraction_at_parse_time(command, frac, capsys):
 
 def test_texture_frac_takes_both_ends():
     assert cli._fraction("0") == 0.0 and cli._fraction("1") == 1.0
+
+
+@pytest.mark.parametrize("command", ["train-grm", "train-dit"])
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1", "-1e-3", "1e-400", "abc"])
+def test_lr_must_be_finite_and_positive_at_parse_time(tmp_path, command, lr, capsys):
+    # -1 trained the GRM by gradient ascent and saved it with exit 0
+    ckpt = tmp_path / "model.psck"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--out", str(ckpt), f"--lr={lr}"])
+    assert exc.value.code == 2
+    assert "error: argument --lr" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_cli_overrides_reach_pipeline(tmp_path, capsys):

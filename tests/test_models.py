@@ -577,7 +577,8 @@ def test_fused_grm_heads_match_the_cached_forward(shape, conv_workers, monkeypat
     y_hr, conf = grm.forward(x)
     y_c, conf_c, (_, h1, h2, sig) = grm.forward(x, want_cache=True)
     assert np.array_equal(y_hr, y_c) and np.array_equal(conf, conf_c)
-    assert h2.transpose(1, 2, 0).flags.c_contiguous  # channels-last
+    assert h1.transpose(1, 2, 0).flags.c_contiguous  # channels-last
+    assert h2.transpose(1, 2, 0).flags.c_contiguous
     assert np.array_equal(h1, _serial_conv(monkeypatch, x, p["conv1.w"], p["conv1.b"], tanh=True))
     assert np.array_equal(h2, _serial_conv(monkeypatch, h1, p["conv2.w"], p["conv2.b"], tanh=True))
     feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
@@ -588,8 +589,9 @@ def test_fused_grm_heads_match_the_cached_forward(shape, conv_workers, monkeypat
 
 
 def test_grm_heads_under_fast_thread_switches(monkeypatch):
-    # 8 threads write the heads of 94 bands of 32 rows, taking turns every
-    # microsecond: a band written twice, or not at all, moves the bits
+    # 6 threads write the heads of 6 super-bands (94 bands of 32 rows),
+    # taking turns every microsecond: a band written twice, or not at all,
+    # moves the bits
     rng = np.random.Generator(np.random.PCG64(20))
     grm, x = _random_grm(rng, 1), rng.standard_normal((1, 3000, 16))
     with monkeypatch.context() as m:
@@ -610,10 +612,47 @@ def test_grm_heads_under_fast_thread_switches(monkeypatch):
         models._pool.shutdown()
 
 
+def _two_pass_forward(grm, x):
+    # the GRM forward as two conv calls: conv1 into a whole h1, then conv2
+    # over it into the heads; (y_hr, conf, channels-last h1, h2, sig)
+    p, (c, h, w) = grm.params, x.shape
+    h1 = _conv3x3_forward(x, p["conv1.w"], p["conv1.b"], tanh=True)
+    y_hr, conf, sig = np.empty((c, h, w)), np.empty((1, h, w)), np.empty((1, h, w))
+    h2 = np.empty((h, w, len(p["conv2.w"])))
+    _conv3x3_forward(h1, p["conv2.w"], p["conv2.b"], tanh=True,
+                     sink=models._heads_sink(p, x, y_hr, conf, h2, sig))
+    return y_hr, conf, h1.transpose(1, 2, 0), h2, sig
+
+
+def _super_band(width, workers):
+    # the rows of a band and of a super-band of the two-conv trunk
+    band = max(1, 4096 // (width * workers))
+    return band, band * -(-(1 << 13) // (band * width))
+
+
+@pytest.mark.parametrize("channels", [1, 3, 4])
+def test_fused_trunk_keeps_the_bits_of_two_conv_calls(channels, conv_workers):
+    # one super-band (h = 1, just under and at one), a last band joining the
+    # one above (sup + 1), a second super-band of one band whose first band
+    # takes the halo row (sup + band), and three with a one-row tail; widths
+    # under 75, where a band of its own for a halo row would be under ~75
+    # cells and could move the bits (width 1 makes it one cell)
+    rng = np.random.Generator(np.random.PCG64(22))
+    for width in (1, 40, 74):
+        band, sup = _super_band(width, conv_workers)
+        for h in (1, sup - 1, sup, sup + 1, sup + band, 2 * sup + band + 1):
+            grm, x = _random_grm(rng, channels), rng.standard_normal((channels, h, width))
+            ref = _two_pass_forward(grm, x)
+            y_hr, conf, (_, h1, h2, sig) = grm.forward(x, want_cache=True)
+            got = (y_hr, conf, h1.transpose(1, 2, 0), h2.transpose(1, 2, 0), sig)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (width, h)
+            assert all(np.array_equal(a, b) for a, b in zip(grm.forward(x), ref))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_grm_inference_never_holds_the_second_hidden_layer(workers, monkeypatch):
-    # at 512x512 h1 takes 16 * 512^2 * 8 B = 33.5 MB; a forward that also
-    # held h2 (the same size again) peaks near 80 MB
+def test_grm_inference_holds_neither_hidden_layer(workers, monkeypatch):
+    # at 512x512 h1 takes 16 * 512^2 * 8 B = 33.5 MB; a forward that made
+    # the whole h1 peaks near 46 MB, and one that also held h2 near 80 MB
     monkeypatch.setattr(models, "_WORKERS", workers)
     monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, workers - 1)))
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
@@ -625,7 +664,7 @@ def test_grm_inference_never_holds_the_second_hidden_layer(workers, monkeypatch)
     finally:
         tracemalloc.stop()
         models._pool.shutdown()
-    assert peak < 1.5 * 16 * 512 * 512 * 8
+    assert peak < 0.6 * 16 * 512 * 512 * 8
 
 
 def test_grm_forward_contract():

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from patchscaler import pipeline
+from patchscaler import models, pipeline
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import (ConfigError, GridShapeError,
                                 MagicMismatchError, NumericError, StageError,
@@ -168,6 +169,29 @@ def test_superresolve_deterministic():
     assert rep1.total_nfe == rep2.total_nfe
     sr3, _ = superresolve(replace(cfg, seed=6), scene.lr, grm, d)
     assert not np.array_equal(sr1, sr3)
+
+
+def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm, monkeypatch):
+    # one oracle-512 benchmark image (scene 101, the oracle built from the LR
+    # grid as the CLI builds it) on 2 conv workers: its tracemalloc peak,
+    # about 20 MB, is under the 33.5 MB of one 16-channel float64 GRM hidden
+    # layer at 512x512; a GRM that made its whole h1 peaked at 45 MB here
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
+    cfg = PipelineConfig()
+    lr = make_scene(512, 512, seed=101, patch=cfg.patch, texture_frac=0.2,
+                    factor=cfg.factor).lr
+    denoiser = GaussianOracleDenoiser(
+        GaussianOracleStats(mean=float(lr.mean()), var=max(float(lr.var()), 1e-6)),
+        cfg.schedule())
+    tracemalloc.start()
+    try:
+        superresolve(cfg, lr, trained_grm, denoiser)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        models._pool.shutdown()
+    assert peak < 25e6
 
 
 class ReadOnlyGrm(BandGrm):
