@@ -9,13 +9,16 @@ Everything is plain numpy.  PatchDiT has one batched forward, which computes
 in the dtype of the parameters it is given: training (``loss_and_grads``)
 runs it in float64, so analytic gradients can be checked against central
 finite differences, and inference (``PatchDiT.__call__``) in float32, both
-in the same patch chunks.
+through the same per-patch attention and feed-forward helpers.  Inference
+and the GRM's conv trunk spread their work over every usable CPU.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +42,83 @@ def time_embed(t, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# work on every usable CPU
+
+def _blas_threads():
+    """Threads the OpenBLAS numpy loaded runs a large GEMM on; 1 if there is
+    no OpenBLAS to ask."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return 1
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return max(1, get())
+    return 1
+
+
+# Threads that _on_cpus shares items among, set by _workers() on first use.
+# The pool holds up to one per usable CPU but one, as the calling thread runs
+# one share itself; it is made with the module and starts a thread only when
+# it is first handed a run.  Only untraced helpers run on it (the GRM's conv
+# super-bands, the DiT's per-patch attention and feed-forward): a span a
+# tracer opened on a pool thread would break the caller's one span stack.
+_WORKERS = None
+_pool = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1),
+                           thread_name_prefix="patchscaler")
+
+
+def _workers():
+    """Every CPU this process may use, divided by the threads BLAS runs each
+    GEMM on.  Two pool threads that each call a two-thread OpenBLAS
+    oversubscribe two CPUs: on a 2-vCPU VM a pool of two made `patchscaler
+    sr --dit --rtm` on a 96x96 image 2.68 -> 3.88 s at OpenBLAS's default,
+    and 1.92 -> 1.74 s with one BLAS thread (medians of 6 and 8 processes).
+    Found on first use, not at import, as finding the BLAS reads a file."""
+    global _WORKERS
+    if _WORKERS is None:
+        _WORKERS = max(1, len(os.sched_getaffinity(0)) // _blas_threads())
+    return _WORKERS
+
+
+def _on_cpus(runs, items):
+    """Call run(item) once for every item of the sequence items, on up to
+    len(runs) threads: runs[0] on the calling thread, the others on the pool.
+
+    Each run takes the next item not yet taken from one shared iterator
+    until none is left, so a thread the OS leaves waiting holds up at most
+    the item it is on.  A run the pool has not started when the items run
+    out is cancelled, not waited for, and a pool run's exception is raised
+    here.  Every run computes under the caller's numpy error state, which
+    numpy keeps per thread.  An array a pool thread allocates lands in that
+    thread's malloc arena: the GRM's runs get every buffer from the caller,
+    while the DiT's items allocate their temporaries where they run.
+    """
+    runs = runs[:max(1, len(items))]
+    items, err = iter(items), np.geterr()
+
+    def drain(run):
+        with np.errstate(**err):
+            # next() on the shared iterator is one C call, atomic under the GIL
+            for item in items:
+                run(item)
+    futures = [_pool.submit(drain, run) for run in runs[1:]]
+    try:
+        drain(runs[0])
+    finally:
+        wait([fut for fut in futures if not fut.cancel()])
+    for fut in futures:
+        if not fut.cancelled():
+            fut.result()
+
+
+# ---------------------------------------------------------------------------
 # multi-head attention (shared by self- and cross-attention)
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -54,15 +134,59 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 _LOG2_E = float(np.log2(np.e))
 
+# A score tensor of at most _SCORES elements (1 MB in float32) stays inside a
+# per-core L2 cache; larger batches of patches (4 MB, or one whole PGS group)
+# were slower.
+_SCORES = 1 << 18
+# Items per usable CPU in a PatchDiT inference chunk: each thread takes
+# several from the shared iterator per attention or feed-forward, so the
+# threads need not keep in step item by item.
+_ITEMS_PER_CPU = 4
 
-def _attn_forward(q_in, kv_in, p, pre, heads):
-    """Multi-head attention of (..., n, d) queries on (..., m, d) keys.
+
+def _share(heads, n, m):
+    """Patches of n queries on m keys whose attention scores, heads * n * m
+    each, stay near _SCORES elements together: at least one."""
+    return max(1, _SCORES // (heads * n * m))
+
+
+def _patch_items(b, heads, n, m):
+    """Slices of a batch of b patches of n queries on m keys into items of
+    _share patches, but of no more than one worker's share of the batch: a
+    patch's cross-attention on K prompt keys is a few small GEMMs, which
+    gain on two threads only in items of several patches."""
+    step = min(_share(heads, n, m), -(-b // _workers()))
+    return [slice(s, s + step) for s in range(0, b, step)]
+
+
+def _attn_forward(q_in, kv_in, p, pre, heads, want_cache=False):
+    """Multi-head attention of (b, ..., n, d) queries on (b, ..., m, d) keys:
+    the (b, ..., n, d) output, and with want_cache what _attn_backward needs
+    (else None).
+
+    The b patches fall into _patch_items, which _on_cpus runs through
+    _attn_patches on every usable CPU; an item's output has the bits of the
+    same patches run alone, so neither the split nor the thread moves them.
+    With want_cache (training) the whole batch is one item on the calling
+    thread, as the backward needs its cache.
+    """
+    dt = np.result_type(q_in, kv_in, *(p[pre + w] for w in (".wq", ".wk", ".wv", ".wo", ".bo")))
+    out = np.empty(q_in.shape[:-1] + p[pre + ".wo"].shape[1:], dt)
+    if want_cache:
+        return out, _attn_patches(q_in, kv_in, p, pre, heads, out)
+    _on_cpus([lambda s: _attn_patches(q_in[s], kv_in[s], p, pre, heads, out[s])] * _workers(),
+             _patch_items(len(q_in), heads, q_in.shape[-2], kv_in.shape[-2]))
+    return out, None
+
+
+def _attn_patches(q_in, kv_in, p, pre, heads, out):
+    """The attention of _attn_forward on one item, into out; returns its cache.
 
     Computes in the dtype of its inputs.  The scale log2(e) / sqrt(dh) goes
     on q, a tensor m / dh times smaller than the scores, so exp2 of the
     scaled scores is exp of the usual ones.  The scores are built key-major,
     (..., heads, m, n), so the max shift and the sum over keys run along
-    rows in place: a batch needs one score temporary, and the weights
+    rows in place: an item needs one score temporary, and the weights
     (..., heads, n, m) are a transposed view of it.  The weights are left
     unnormalised: their (..., heads, n, dh) product with v is divided by
     the sums over keys instead, which saves a pass over the scores.  The
@@ -86,8 +210,28 @@ def _attn_forward(q_in, kv_in, p, pre, heads):
     o = e @ vh
     o /= sums
     merged = _merge_heads(o)
-    out = merged @ p[pre + ".wo"] + p[pre + ".bo"]
-    return out, (q_in, kv_in, qh, kh, vh, e, sums, merged, scale)
+    np.matmul(merged, p[pre + ".wo"], out=out)
+    out += p[pre + ".bo"]
+    return q_in, kv_in, qh, kh, vh, e, sums, merged, scale
+
+
+def _feed_forward(h, p, pre, heads, want_cache=False):
+    """h + tanh(h w1 + b1) w2 + b2 of a (b, n, d) batch h, and with
+    want_cache the tanh layer (b, n, 2d) (else None), in the items of the
+    batch's self-attention on every usable CPU."""
+    w1, b1, w2, b2 = (p[f"{pre}.ff.{k}"] for k in ("w1", "b1", "w2", "b2"))
+    u = np.empty_like(h)
+    g = np.empty(h.shape[:-1] + w1.shape[1:], h.dtype) if want_cache else None
+
+    def run(s):
+        gs = np.matmul(h[s], w1, out=None if g is None else g[s])
+        gs += b1
+        np.tanh(gs, out=gs)
+        us = np.matmul(gs, w2, out=u[s])
+        us += h[s]
+        us += b2
+    _on_cpus([run] * _workers(), _patch_items(len(h), heads, h.shape[1], h.shape[1]))
+    return u, g
 
 
 def _linear_grads(grads, w, b, x, dy):
@@ -131,6 +275,13 @@ class PatchDiT:
     enters as dimension-wise scale vectors: once on the token embedding and
     once on each cross-attention output (the prompt encoding itself is
     time-step independent).
+
+    Patches are independent, so inference spreads them over every usable
+    CPU: each attention and feed-forward of a chunk hands its patches, in
+    _patch_items, to _on_cpus.  The calling thread runs everything else,
+    every traced call (_attn_forward, _encode_prompt) included, and the
+    output bits do not depend on the thread count.  Training runs on the
+    calling thread.
     """
 
     def __init__(self, channels: int = 1, patch: int = 16, width: int = 64,
@@ -185,19 +336,17 @@ class PatchDiT:
 
     # -- forward ------------------------------------------------------------
 
-    def _chunks(self, x_t, prompts):
+    def _chunks(self, x_t, prompts, items):
         """(slice, prompts) of each chunk of a (B, c, V, V) batch, prompts
-        None or B entries.  A chunk holds max(1, 2**18 // (heads * n * n))
-        patches, so a self-attention score tensor stays near 256K elements
-        (1 MB in float32), inside a per-core L2 cache; larger chunks (4 MB,
-        or one whole group) were slower."""
+        None or B entries: items items of _share patches each, so one
+        item's self-attention scores stay inside a per-core L2 cache."""
         c, v = self.channels, self.patch
         if x_t.ndim != 4 or x_t.shape[1:] != (c, v, v):
             raise GridShapeError(f"expected a (B, {c}, {v}, {v}) batch, got {x_t.shape}")
         prompts = [None] * len(x_t) if prompts is None else prompts
         if len(prompts) != len(x_t):
             raise ConfigError(f"{len(prompts)} prompts for {len(x_t)} patches")
-        step = max(1, (1 << 18) // (self.heads * v ** 4))
+        step = items * _share(self.heads, v * v, v * v)
         return [(slice(s, s + step), prompts[s:s + step]) for s in range(0, len(x_t), step)]
 
     def _time_cond(self, t, p):
@@ -229,29 +378,22 @@ class PatchDiT:
         blocks = []
         for i in range(self.depth):
             pre = f"b{i}"
-            # an attention cache that is not wanted is dropped at once: one
-            # held through the feed-forward made float32 inference 36-44%
-            # slower under glibc's default malloc settings.  Each residual sum
-            # goes into the fresh update (a + b == b + a), which leaves the
-            # cached block input as it was.
-            u, sa = _attn_forward(h, h, p, pre + ".sa", self.heads)
-            sa = sa if want_cache else None
+            # only training keeps attention caches: one held through the
+            # feed-forward made float32 inference 36-44% slower under glibc's
+            # default malloc settings.  Each residual sum goes into the fresh
+            # update (a + b == b + a), which leaves the cached block input as
+            # it was.
+            u, sa = _attn_forward(h, h, p, pre + ".sa", self.heads, want_cache)
             u += h
             h = u
             ca_out = ca = s_b = None
             if idx:
                 s_b = s_ca[i] if s_ca[i].ndim == 1 else s_ca[i][idx]
-                ca_out, ca = _attn_forward(h[idx], pt, p, pre + ".ca", self.heads)
-                ca = ca if want_cache else None
+                ca_out, ca = _attn_forward(h[idx], pt, p, pre + ".ca", self.heads, want_cache)
                 h[idx] += ca_out * s_b
-            g = h @ p[pre + ".ff.w1"]
-            g += p[pre + ".ff.b1"]
-            np.tanh(g, out=g)
+            u, g = _feed_forward(h, p, pre, self.heads, want_cache)
             if want_cache:
                 blocks.append((sa, ca_out, ca, s_b, h, g))
-            u = g @ p[pre + ".ff.w2"]
-            u += h
-            u += p[pre + ".ff.b2"]
             h = u
         out = (h @ p["out.w"] + p["out.b"]).swapaxes(1, 2).reshape(x.shape)
         return (out, (tokens, te, h0, s_in, idx, enc, blocks, h)) if want_cache else out
@@ -260,11 +402,12 @@ class PatchDiT:
         """Denoise a (B, c, V, V) batch at step t; prompts is None or B prompts,
         each None or a retrieval result, all of one length K per call.
 
-        The forward runs in float32 in _chunks, with the parameters cast and
-        the time conditioning computed once per call; the output stays
-        within a tested bound of the float64 forward.
+        The forward runs in float32 in _chunks of _ITEMS_PER_CPU items per
+        usable CPU, with the parameters cast and the time conditioning
+        computed once per call; the output stays within a tested bound of the
+        float64 forward.
         """
-        chunks = self._chunks(x_t, prompts)
+        chunks = self._chunks(x_t, prompts, _ITEMS_PER_CPU * _workers())
         p = {k: a.astype(np.float32) for k, a in self.params.items()}
         cond = self._time_cond(t, p)
         out = np.empty(x_t.shape, np.float32)
@@ -324,9 +467,10 @@ class PatchDiT:
     def loss_and_grads(self, x_t: np.ndarray, t, target: np.ndarray,
                        prompts=None):
         """MSE of a (B, c, V, V) batch to its targets, and its parameter
-        gradients, at one step t or one per patch; in float64, in the
-        _chunks of __call__, each one's backward right after its forward."""
-        chunks = self._chunks(x_t, prompts)
+        gradients, at one step t or one per patch; in float64, in _chunks of
+        one item, each one's forward and then its backward on the calling
+        thread."""
+        chunks = self._chunks(x_t, prompts, 1)
         t = np.broadcast_to(t, len(x_t))[:, None]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         loss = 0.0
@@ -382,36 +526,28 @@ def _windows(x):
     return win.transpose(1, 2, 0, 3, 4)
 
 
-# Threads the GRM's conv trunk splits its super-bands among: every CPU this
-# process may use.  The pool holds _WORKERS - 1 of them, as the calling
-# thread runs one share itself; it is made with the module and starts a
-# thread only when the trunk first hands it a run.  A grid of fewer cells than
-# _MIN_THREADED_CELLS (256x256) stays on the calling thread: its conv takes
-# a few ms, and in 50 s benchmark runs at 96x96 (2 vCPUs) a process whose
-# conv had used the second thread read about +10% per image and +37% on
-# set-up against one that had not.
-_WORKERS = len(os.sched_getaffinity(0))
+# A GRM grid of fewer cells than _MIN_THREADED_CELLS (256x256) keeps its conv
+# trunk on the calling thread: its conv takes a few ms.  In 50 s benchmark
+# runs at 96x96 (2 vCPUs) a process whose conv had used the second thread
+# read about +10% per image and +37% on set-up against one that had not;
+# ten pairs whose DiT uses the pool there read set-up +7%, inside the
+# spread of set-up between processes.
 _MIN_THREADED_CELLS = 1 << 16
-_pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="grm-conv")
 
 
 def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     # The GRM's conv trunk: the 3x3 conv (w, b) of x and, with then =
     # (w2, b2, sink2), the 3x3 conv (w2, b2) of its output; tanh applies to
     # both.  im2col + GEMM in bands of max(1, 4096 // (width * k)) output
-    # rows, k = _WORKERS (1 on a small grid, see above), so the k column
+    # rows, k = _workers() (1 on a small grid, see above), so the k column
     # buffers together stay near 4096 cells, the fastest single band probed
     # at 512x512, where the whole column matrix would take ~300 MB.
     # The rows fall into super-bands: one band for one conv, and for two
     # the fewest whole bands of at least 2^13 cells, a last one of under a
-    # band joining the one above.  k runs, k capped at the super-band count,
-    # each take the next super-band not yet taken until none is left, so a
-    # thread the OS leaves waiting holds up at most the super-band it is
-    # on.  The calling thread makes the first run and hands the k - 1
-    # others to the pool, so at k = 1 it hands off nothing and the pool
-    # starts no thread; a run the pool has not started when the super-bands
-    # run out is cancelled.  The caller allocates every buffer: one a worker
-    # allocates lands in that thread's malloc arena and is not reused.
+    # band joining the one above.  _on_cpus hands them out to k runs, k
+    # capped at the super-band count, each with column, result and input
+    # buffers of its own that the caller allocates; at k = 1 the pool
+    # starts no thread.
     # For a super-band [r0, r1) of two convs a run computes the first conv's
     # rows [r0 - 1, r1 + 1) into a zero-bordered buffer of its own and the
     # second's rows [r0, r1) from it, so no whole hidden layer is made and
@@ -437,7 +573,7 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     # made the band, touches only those rows and, like the bands, allocates
     # no array.  One conv without a sink puts its bands into a new
     # C-contiguous (f, h, w) array, which is returned.  The threads run only
-    # _conv_bands and the sinks, which a tracer does not wrap.
+    # _conv_super_band and the sinks, which a tracer does not wrap.
     c, h_, w_ = x.shape
     y = None
     if sink is None and then is None:
@@ -448,7 +584,7 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     convs = [(w, b, sink)] + ([then] if then else [])
     n = len(convs)
     layers = [(cw.reshape(len(cw), -1).T, cb, cs) for cw, cb, cs in convs]
-    k = _WORKERS if h_ * w_ >= _MIN_THREADED_CELLS else 1
+    k = _workers() if h_ * w_ >= _MIN_THREADED_CELLS else 1
     band = max(1, 4096 // (w_ * k))
     sup = band if n == 1 else band * -(-(1 << 13) // (band * w_))
     starts = range(0, max(1, h_ - band + 1), sup)
@@ -457,72 +593,60 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     cin = [c] + [len(cw) for cw, _, _ in convs[:-1]]
     rows = [min(h_, sup + band - 1) + 2 * (n - j) for j in range(n)]
     cells = [min(h_, band + 2 * (n - 1 - j)) * w_ for j in range(n)]
-    # shared by the runs; next() on it is one C call, atomic under the GIL
-    starts = iter(starts)
-    runs = [(x, layers, starts, sup, band, tanh,
-             [np.zeros((ci, r, w_ + 2)) for ci, r in zip(cin, rows)],
-             np.empty(max(9 * ci * m for ci, m in zip(cin, cells))),
-             np.empty(max(m * len(cw) for m, (cw, _, _) in zip(cells, convs))))
+    runs = [partial(_conv_super_band, x, layers, sup, band, tanh,
+                    [np.zeros((ci, r, w_ + 2)) for ci, r in zip(cin, rows)],
+                    np.empty(max(9 * ci * m for ci, m in zip(cin, cells))),
+                    np.empty(max(m * len(cw) for m, (cw, _, _) in zip(cells, convs))))
             for _ in range(k)]
-    futures = [_pool.submit(_conv_bands, *run) for run in runs[1:]]
-    try:
-        _conv_bands(*runs[0])
-    finally:
-        # a run still queued is cancelled: waiting would last until the
-        # pool's thread takes it up
-        wait([fut for fut in futures if not fut.cancel()])
-    for fut in futures:
-        if not fut.cancelled():
-            fut.result()
+    _on_cpus(runs, starts)
     return y
 
 
-def _conv_bands(x, layers, starts, sup, band, tanh, srcs, buf, o):
-    """The super-bands of _conv3x3_forward that start at the rows it takes
-    from starts, one at a time: rows of x into srcs[0], then each conv band
-    by band, its input's 3x3 windows into buf and the GEMM into o, the
-    result into the next conv's srcs entry and to the conv's sink."""
+def _conv_super_band(x, layers, sup, band, tanh, srcs, buf, o, r0):
+    """The super-band of _conv3x3_forward that starts at row r0: rows of x
+    into srcs[0], then each conv band by band, its input's 3x3 windows into
+    buf and the GEMM into o, the result into the next conv's srcs entry and
+    to the conv's sink."""
     h_, w_ = x.shape[1:]
     n = len(layers)
     # win[:, di, dj, i, jj] is srcs[j][:, i + di, jj + dj]
     wins = [np.lib.stride_tricks.as_strided(
         s, (len(s), 3, 3, s.shape[1] - 2, w_), s.strides + s.strides[1:])
         for s in srcs]
-    for r0 in starts:
-        r1 = h_ if r0 + sup + band > h_ else r0 + sup
-        # srcs[j] row i holds row r0 - n + j + i of conv j's input, zero past
-        # either end of the grid; its first and last columns stay zero
-        a, z = max(0, r0 - n), min(h_, r1 + n)
-        xb = srcs[0]
-        xb[:, :a - r0 + n] = 0.0
-        xb[:, a - r0 + n:z - r0 + n, 1:-1] = x[:, a:z]
-        xb[:, z - r0 + n:r1 - r0 + 2 * n] = 0.0
-        for j, (wt, b, sink) in enumerate(layers):
-            m = n - 1 - j  # halo rows conv j adds at either end
-            a, z = max(0, r0 - m), min(h_, r1 + m)
-            ci, f = len(srcs[j]), wt.shape[1]
-            nxt = srcs[j + 1] if j + 1 < n else None
+    r1 = h_ if r0 + sup + band > h_ else r0 + sup
+    # srcs[j] row i holds row r0 - n + j + i of conv j's input, zero past
+    # either end of the grid; its first and last columns stay zero
+    a, z = max(0, r0 - n), min(h_, r1 + n)
+    xb = srcs[0]
+    xb[:, :a - r0 + n] = 0.0
+    xb[:, a - r0 + n:z - r0 + n, 1:-1] = x[:, a:z]
+    xb[:, z - r0 + n:r1 - r0 + 2 * n] = 0.0
+    for j, (wt, b, sink) in enumerate(layers):
+        m = n - 1 - j  # halo rows conv j adds at either end
+        a, z = max(0, r0 - m), min(h_, r1 + m)
+        ci, f = len(srcs[j]), wt.shape[1]
+        nxt = srcs[j + 1] if j + 1 < n else None
+        if nxt is not None:
+            nxt[:, :a - r0 + m] = 0.0
+            nxt[:, z - r0 + m:r1 - r0 + 2 * m] = 0.0
+        for s in range(r0, r1, band):
+            lo = a if s == r0 else s
+            hi = z if s + band >= r1 else s + band
+            # output row r's window is wins[j] row r - r0 + m
+            nc = (hi - lo) * w_
+            cols = buf[:ci * 9 * nc].reshape(ci, 3, 3, hi - lo, w_)
+            cols[...] = wins[j][:, :, :, lo - r0 + m:hi - r0 + m]
+            ob = o[:nc * f].reshape(nc, f)
+            np.matmul(cols.reshape(ci * 9, nc).T, wt, out=ob)
+            ob += b
+            if tanh:
+                np.tanh(ob, out=ob)
+            ob = ob.reshape(hi - lo, w_, f)
             if nxt is not None:
-                nxt[:, :a - r0 + m] = 0.0
-                nxt[:, z - r0 + m:r1 - r0 + 2 * m] = 0.0
-            for s in range(r0, r1, band):
-                lo = a if s == r0 else s
-                hi = z if s + band >= r1 else s + band
-                # output row r's window is wins[j] row r - r0 + m
-                nc = (hi - lo) * w_
-                cols = buf[:ci * 9 * nc].reshape(ci, 3, 3, hi - lo, w_)
-                cols[...] = wins[j][:, :, :, lo - r0 + m:hi - r0 + m]
-                ob = o[:nc * f].reshape(nc, f)
-                np.matmul(cols.reshape(ci * 9, nc).T, wt, out=ob)
-                ob += b
-                if tanh:
-                    np.tanh(ob, out=ob)
-                ob = ob.reshape(hi - lo, w_, f)
-                if nxt is not None:
-                    nxt[:, lo - r0 + m:hi - r0 + m, 1:-1] = ob.transpose(2, 0, 1)
-                if sink is not None:
-                    own = max(lo, r0)
-                    sink(own, ob[own - lo:min(hi, r1) - lo])
+                nxt[:, lo - r0 + m:hi - r0 + m, 1:-1] = ob.transpose(2, 0, 1)
+            if sink is not None:
+                own = max(lo, r0)
+                sink(own, ob[own - lo:min(hi, r1) - lo])
 
 
 def _conv3x3_backward(dy, x, w):

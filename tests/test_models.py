@@ -3,6 +3,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -98,8 +100,8 @@ def _record_attention(monkeypatch):
     """Replace models._attn_forward by a wrapper that logs each call."""
     calls = []
 
-    def spy(q_in, kv_in, p, pre, heads):
-        out = _attn_forward(q_in, kv_in, p, pre, heads)
+    def spy(q_in, kv_in, p, pre, heads, want_cache=False):
+        out = _attn_forward(q_in, kv_in, p, pre, heads, want_cache)
         calls.append((pre, q_in.shape, kv_in.shape,
                       {q_in.dtype, kv_in.dtype, p[pre + ".wq"].dtype, out[0].dtype}))
         return out
@@ -108,24 +110,29 @@ def _record_attention(monkeypatch):
     return calls
 
 
-def test_dit_chunks_match_per_patch_calls(monkeypatch, dit_f32_tol):
-    # 144 tokens and 4 heads: chunks of (1 << 18) // (4 * 144 * 144) = 3
-    # patches, so 10 patches make chunks of 3, 3, 3 and 1; two K = 3 prompts
-    # and unprompted patches fall on both sides of each chunk boundary
+def test_dit_chunks_match_per_patch_calls(monkeypatch):
+    # 144 tokens and 4 heads: items of (1 << 18) // (4 * 144 * 144) = 3
+    # patches, and inference chunks of 4 items per usable CPU, here 2: 30
+    # patches make chunks of 24 and 6.  Two K = 3 prompts and unprompted
+    # patches fall on both sides of the chunk boundary; the output is the
+    # per-patch calls' bit for bit
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     dit = PatchDiT(channels=1, patch=12, width=16, depth=1, heads=4, seed=8)
     rng = np.random.Generator(np.random.PCG64(15))
-    x = rng.standard_normal((10, 1, 12, 12)).astype(np.float32)
+    x = rng.standard_normal((30, 1, 12, 12)).astype(np.float32)
     ka, kb = _prompt(rng, 3, 1, 12), _prompt(rng, 3, 1, 12)
-    prompts = [ka, None, kb, kb, ka, kb, ka, None, ka, kb]
+    prompts = [ka, None, kb, kb, ka, kb, ka, None, ka, kb] * 3
     calls = _record_attention(monkeypatch)
     got = dit(x, 300, prompts)
     sa = [q[0] for pre, q, _, _ in calls if pre.endswith(".sa")]
     ca = [(q[0], kv[1]) for pre, q, kv, _ in calls if pre.endswith(".ca")]
-    assert sa == [3, 3, 3, 1]
+    assert sa == [24, 6]
     # cross-attention runs once in each chunk, on the prompted patches only
-    assert ca == [(2, 3), (3, 3), (2, 3), (1, 3)]
-    one = np.concatenate([dit(x[i:i + 1], 300, prompts[i:i + 1]) for i in range(10)])
-    assert np.max(np.abs(got - one)) <= dit_f32_tol
+    assert ca == [(19, 3), (5, 3)]
+    one = np.concatenate([dit(x[i:i + 1], 300, prompts[i:i + 1]) for i in range(30)])
+    assert np.array_equal(got, one)
+    models._pool.shutdown()
 
 
 def test_attention_softmax_over_keys_is_stable():
@@ -147,7 +154,7 @@ def test_attention_softmax_over_keys_is_stable():
     weights /= weights.sum(axis=-1, keepdims=True)
     merged = (weights @ split[2]).swapaxes(1, 2).reshape(3, 20, 16)
     ref = merged @ p64["b0.sa.wo"] + p64["b0.sa.bo"]
-    got64, cache = _attn_forward(x, x, p64, "b0.sa", dit.heads)
+    got64, cache = _attn_forward(x, x, p64, "b0.sa", dit.heads, want_cache=True)
     got, _ = _attn_forward(tokens, tokens, p, "b0.sa", dit.heads)
     assert got.dtype == np.float32 and np.all(np.isfinite(got))
     assert np.max(np.abs(got64 - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -393,8 +400,8 @@ def test_conv_writes_every_cell_of_a_channels_last_out():
 
 
 @pytest.fixture(params=[1, 2, 3, 4])
-def conv_workers(request, monkeypatch):
-    # the conv's worker count, with a pool of its own
+def pool_workers(request, monkeypatch):
+    # the usable CPU count, with a pool of its own
     monkeypatch.setattr(models, "_WORKERS", request.param)
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
     monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, request.param - 1)))
@@ -415,7 +422,7 @@ def _serial_conv(monkeypatch, *args, **kwargs):
 @pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (16, 512, 512),
                                    (16, 20, 30), (16, 81, 100), (16, 3000, 1),
                                    "channels-last"])
-def test_threaded_conv_keeps_the_serial_bits(shape, conv_workers, monkeypatch):
+def test_threaded_conv_keeps_the_serial_bits(shape, pool_workers, monkeypatch):
     last = shape == "channels-last"
     if last:
         shape = (16, 29, 150)
@@ -489,7 +496,25 @@ def test_grm_forward_on_a_small_grid_starts_no_thread():
     assert run.returncode == 0, run.stderr
 
 
-def test_grm_forward_from_two_threads_at_once(conv_workers, monkeypatch):
+@pytest.mark.parametrize("blas", ["1", "cpus"])
+def test_pool_threads_times_blas_threads_fit_the_usable_cpus(blas):
+    # pool threads that each run a multi-threaded BLAS GEMM oversubscribe
+    # the CPUs, so the pool shrinks by the BLAS thread count
+    cpus = len(os.sched_getaffinity(0))
+    code = ("import os\n"
+            "from patchscaler import models\n"
+            "print(models._blas_threads(), models._workers())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS=str(cpus if blas == "cpus" else 1))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    threads, workers = map(int, run.stdout.split())
+    assert workers == max(1, cpus // threads)
+    assert (threads == 1) if blas == "1" else (threads in (1, cpus))
+
+
+def test_grm_forward_from_two_threads_at_once(pool_workers, monkeypatch):
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
     rng = np.random.Generator(np.random.PCG64(15))
     inputs = [rng.standard_normal((1, 96, 200)), rng.standard_normal((1, 70, 300))]
@@ -539,21 +564,157 @@ def test_conv_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
     monkeypatch.setattr(models, "_WORKERS", 2)
     monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
-    bands, caller = models._conv_bands, threading.current_thread()
-    failed = threading.Event()
-
-    def pool_run_fails(*args):
-        if threading.current_thread() is caller:
-            assert failed.wait(30)  # the pool's run fails before this one starts
-            return bands(*args)
-        try:
-            raise MemoryError("band failed")
-        finally:
-            failed.set()
-    monkeypatch.setattr(models, "_conv_bands", pool_run_fails)
-    with pytest.raises(MemoryError, match="band failed"):
+    _fail_on_the_pool(monkeypatch, "_conv_super_band")
+    with pytest.raises(MemoryError, match="item failed"):
         _conv3x3_forward(np.ones((1, 100, 100)), np.ones((4, 1, 3, 3)), np.zeros(4))
     models._pool.shutdown()
+
+
+def _fail_on_the_pool(monkeypatch, name):
+    """Make the models function name raise MemoryError on a pool thread; the
+    calling thread's first call waits for that failure."""
+    fn, caller = getattr(models, name), threading.current_thread()
+    failed = threading.Event()
+
+    def pool_item_fails(*args):
+        if threading.current_thread() is caller:
+            assert failed.wait(30)
+            return fn(*args)
+        try:
+            raise MemoryError("item failed")
+        finally:
+            failed.set()
+    monkeypatch.setattr(models, name, pool_item_fails)
+
+
+class _EagerPool:
+    # a pool stub whose thread runs a run to the end before submit returns,
+    # so the calling thread finds every item taken
+    def submit(self, fn, *args):
+        fut = Future()
+
+        def run():
+            try:
+                fut.set_result(fn(*args))
+            except BaseException as e:
+                fut.set_exception(e)
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        return fut
+
+
+def test_pool_runs_under_the_callers_error_state(monkeypatch):
+    # numpy keeps its error state per thread: with every weight scaled by
+    # 1e306 the heads overflow, which train_toy's errstate must turn into
+    # FloatingPointError, and so NumericError, though the pool's thread
+    # computes every super-band.  Warnings are recorded, not raised (as the
+    # test settings would), so a pool thread left at numpy's default state
+    # only warns
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    monkeypatch.setattr(models, "_pool", _EagerPool())
+    grm = GlobalRestorer(channels=1, hidden=16, seed=0)
+    for k in grm.params:
+        grm.params[k] *= 1e306
+    x = np.random.Generator(np.random.PCG64(23)).standard_normal((1, 256, 256))
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            grm.forward(x)
+        with pytest.raises(NumericError):
+            train_toy(grm.params, make_grm_objective(grm, lambda rng: (x, x)), steps=1)
+    assert not warned
+
+
+def _dit_case(patch, n):
+    # n patches of the given size for a 4-head DiT; K = 3 prompts and None
+    # repeat as a b None None a None, so an item of 3 or more patches holds
+    # both, and one-patch items meet in every pairing
+    dit = PatchDiT(channels=1, patch=patch, width=16, depth=2, heads=4, seed=patch)
+    rng = np.random.Generator(np.random.PCG64(40 + patch))
+    x = rng.standard_normal((n, 1, patch, patch)).astype(np.float32)
+    ka, kb = _prompt(rng, 3, 1, patch), _prompt(rng, 3, 1, patch)
+    return dit, x, [(ka, kb, None, None, ka, None)[i % 6] for i in range(n)]
+
+
+def _serial_dit(monkeypatch, dit, x, t, prompts):
+    with monkeypatch.context() as m:
+        m.setattr(models, "_WORKERS", 1)
+        return dit(x, t, prompts)
+
+
+# items of 1, 3 and 16 patches; 19, 29 and 40 patches make several items,
+# and at 2 or more workers a chunk boundary as well for patch 16 and 12
+@pytest.mark.parametrize("patch, n", [(16, 19), (12, 29), (8, 40)])
+def test_threaded_dit_keeps_the_serial_bits(patch, n, pool_workers, monkeypatch):
+    dit, x, prompts = _dit_case(patch, n)
+    for t in (1, 500, 1000):
+        assert np.array_equal(dit(x, t, prompts), _serial_dit(monkeypatch, dit, x, t, prompts))
+
+
+def test_dit_hands_out_every_item_once_under_fast_thread_switches(monkeypatch):
+    # 8 threads on 10 items of 3 patches take turns every microsecond
+    dit, x, prompts = _dit_case(12, 29)
+    ref = _serial_dit(monkeypatch, dit, x, 500, prompts)
+    monkeypatch.setattr(models, "_WORKERS", 8)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(dit(x, 500, prompts), ref)
+    finally:
+        sys.setswitchinterval(interval)
+        models._pool.shutdown()
+
+
+def test_dit_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
+    _fail_on_the_pool(monkeypatch, "_attn_patches")
+    dit, x, prompts = _dit_case(16, 8)
+    with pytest.raises(MemoryError, match="item failed"):
+        dit(x, 500, prompts)
+    models._pool.shutdown()
+
+
+def test_dit_called_from_two_threads_at_once(pool_workers, monkeypatch):
+    cases = [_dit_case(16, 11), _dit_case(12, 29)]
+    expected = [_serial_dit(monkeypatch, dit, x, 500, pr) for dit, x, pr in cases]
+    start = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def run(i):
+        dit, x, prompts = cases[i]
+        for _ in range(3):
+            start.wait()
+            got[i].append(dit(x, 500, prompts))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for exp, outs in zip(expected, got):
+        assert len(outs) == 3 and all(np.array_equal(out, exp) for out in outs)
+
+
+def test_dit_does_not_wait_for_a_busy_pool(monkeypatch):
+    # with the pool's one thread held, the calling thread runs every item
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    pool = models.ThreadPoolExecutor(1)
+    monkeypatch.setattr(models, "_pool", pool)
+    release = threading.Event()
+    busy = pool.submit(release.wait, 30)
+    dit, x, prompts = _dit_case(16, 8)
+    try:
+        out = dit(x, 500, prompts)
+        assert not busy.done()
+    finally:
+        release.set()
+        pool.shutdown()
+    assert np.array_equal(out, _serial_dit(monkeypatch, dit, x, 500, prompts))
 
 
 def _random_grm(rng, channels):
@@ -567,7 +728,7 @@ def _random_grm(rng, channels):
 # one band, bands that do not divide the rows, and one-row bands
 @pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (1, 9, 40),
                                    (3, 33, 74), (1, 5, 1), (3, 2, 4100)])
-def test_fused_grm_heads_match_the_cached_forward(shape, conv_workers, monkeypatch):
+def test_fused_grm_heads_match_the_cached_forward(shape, pool_workers, monkeypatch):
     # conv2's bands compute the heads; forward(x) must be the cached
     # forward's (y_hr, conf), and both the whole-grid heads on the cached
     # channels-last h2, bit for bit
@@ -631,7 +792,7 @@ def _super_band(width, workers):
 
 
 @pytest.mark.parametrize("channels", [1, 3, 4])
-def test_fused_trunk_keeps_the_bits_of_two_conv_calls(channels, conv_workers):
+def test_fused_trunk_keeps_the_bits_of_two_conv_calls(channels, pool_workers):
     # one super-band (h = 1, just under and at one), a last band joining the
     # one above (sup + 1), a second super-band of one band whose first band
     # takes the halo row (sup + band), and three with a one-row tail; widths
@@ -639,7 +800,7 @@ def test_fused_trunk_keeps_the_bits_of_two_conv_calls(channels, conv_workers):
     # cells and could move the bits (width 1 makes it one cell)
     rng = np.random.Generator(np.random.PCG64(22))
     for width in (1, 40, 74):
-        band, sup = _super_band(width, conv_workers)
+        band, sup = _super_band(width, pool_workers)
         for h in (1, sup - 1, sup, sup + 1, sup + band, 2 * sup + band + 1):
             grm, x = _random_grm(rng, channels), rng.standard_normal((channels, h, width))
             ref = _two_pass_forward(grm, x)
