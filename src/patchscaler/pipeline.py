@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .colornorm import wavelet_color_normalize
 from .confidence import Thresholds, build_qmap
@@ -140,16 +139,43 @@ class SyntheticScene:
     texture_mask: np.ndarray   # (h, w) bool, True in textured regions
 
 
+def _correlate_symmetric(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Correlate every line of x along its last axis, which is 2r longer than
+    the output's, with the symmetric weights of radius r. Each output sums
+    in the order scipy.ndimage.correlate1d uses for a symmetric kernel: the
+    centre tap first, then the pair (x[-j] + x[+j]) for j = r down to 1."""
+    r = len(weights) // 2
+    n = x.shape[-1] - 2 * r
+    out = x[..., r:r + n] * weights[r]
+    for j in range(r, 0, -1):
+        out += (x[..., r - j:r - j + n] + x[..., r + j:r + j + n]) * weights[r - j]
+    return out
+
+
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Blur each (h, w) channel of a (c, h, w) stack in float64: bit for bit
+    scipy.ndimage.gaussian_filter(channel, sigma, mode="nearest"), whose
+    kernel of radius int(4 sigma + 0.5) runs down the columns, then along
+    the rows."""
+    r = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    weights = phi / phi.sum()
+    # pad both axes at once: the column pass blurs each replicated edge
+    # column as it blurs the edge column, so its output comes out already
+    # padded for the row pass
+    pad = np.pad(x.astype(np.float64), ((0, 0), (r, r), (r, r)), mode="edge")
+    cols = _correlate_symmetric(pad.swapaxes(1, 2), weights).swapaxes(1, 2)
+    del pad
+    return _correlate_symmetric(cols, weights)
+
+
 def synth_degrade(hr: np.ndarray, blur_sigma: float, noise_sigma: float,
                   factor: int, seed: int = 0) -> np.ndarray:
     """Gaussian blur -> subsample -> additive Gaussian noise."""
     c, h, w = hr.shape
     if h % factor or w % factor:
         raise GridShapeError(f"{h}x{w} not divisible by factor {factor}")
-    out = hr.astype(np.float64)
-    if blur_sigma > 0:
-        out = np.stack([gaussian_filter(ch, blur_sigma, mode="nearest")
-                        for ch in out])
+    out = _gaussian_blur(hr, blur_sigma) if blur_sigma > 0 else hr.astype(np.float64)
     out = out[:, ::factor, ::factor]
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -171,8 +197,9 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
         raise ConfigError(f"scene dims {height}x{width} must be multiples of "
                           f"the factor {factor}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    check_allocatable(f"size {height}x{width}", (2, height, width))  # the mgrid below
-    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    # before any draw: the float64 hr stack below, the largest array here
+    check_allocatable(f"size {height}x{width}", (channels, height, width))
+    yy, xx = np.ogrid[0:height, 0:width]  # a column and a row, broadcast
     base = np.zeros((height, width))
     for _ in range(4):
         fy, fx = rng.uniform(0.5, 2.0, size=2)
@@ -182,7 +209,7 @@ def make_scene(height: int, width: int, seed: int = 0, channels: int = 1,
     tiles_y, tiles_x = height // patch, width // patch
     tex_tiles = rng.random((tiles_y, tiles_x)) < texture_frac
     mask = np.kron(tex_tiles, np.ones((patch, patch), dtype=bool))
-    hr = np.stack([base.copy() for _ in range(channels)])
+    hr = np.stack([base] * channels)
     hr[:, mask] += TEXTURE_STD * rng.standard_normal((channels, int(mask.sum())))
     hr = hr.astype(np.float32)
     lr = synth_degrade(hr, BLUR_SIGMA, NOISE_SIGMA, factor, seed=seed + 1)

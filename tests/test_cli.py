@@ -1,6 +1,9 @@
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +68,24 @@ def test_train_grm_and_sr_roundtrip(tmp_path, capsys):
     assert sr.shape == (1, 32, 32)
     text = capsys.readouterr().out
     assert "nfe_total" in text and "ratio" in text
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a test dependency only: the runtime needs numpy alone
+    scene = tmp_path / "scene"
+    code = ("import sys\n"
+            "from patchscaler import cli\n"
+            f"assert cli.main(['gen-data', '--out', {str(scene)!r}, '--size', '32x32',"
+            " '--channels', '3']) == 0\n"
+            f"assert cli.main(['sr', '--input', {str(scene / 'lr.psg')!r}, '--output',"
+            f" {str(tmp_path / 'sr.psg')!r}]) == 0\n"
+            "assert cli.main(['bench', '--size', '32x32']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_scene_pair_sampler_crops_to_the_patch_size_and_factor():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from patchscaler import models, pipeline
 from patchscaler.confidence import GroupLabel
@@ -53,6 +54,59 @@ def test_synth_degrade_noise_level():
     hr = np.zeros((1, 64, 64), np.float32)
     lr = synth_degrade(hr, 0.0, 0.2, 1, seed=1)
     assert np.std(lr) == pytest.approx(0.2, rel=0.05)
+
+
+def _scipy_blur(x, sigma):
+    """The reference pipeline._gaussian_blur reproduces, one channel at a time."""
+    return np.stack([gaussian_filter(ch, sigma, mode="nearest") for ch in x])
+
+
+# sigma 0.1 has radius 0, 2.5 radius 10: sides of 1, 2 and 7 are shorter
+# than the larger radii, so their padding replicates one edge cell many times
+@pytest.mark.parametrize("sigma", [pipeline.BLUR_SIGMA, 0.1, 0.3, 1.7, 2.5])
+def test_gaussian_blur_is_scipy_bit_for_bit(sigma):
+    rng = np.random.Generator(np.random.PCG64(29))
+    for shape in ((1, 1), (2, 2), (7, 7), (1, 7), (16, 16), (33, 70), (96, 96),
+                  (512, 512)):
+        for scale in (1e-3, 1.0, 1e5):
+            x = scale * rng.standard_normal((1, *shape))
+            assert np.array_equal(pipeline._gaussian_blur(x, sigma),
+                                  _scipy_blur(x, sigma)), (shape, scale)
+
+
+def test_gaussian_blur_spreads_non_finite_cells_as_scipy_does():
+    rng = np.random.Generator(np.random.PCG64(30))
+    x = rng.standard_normal((2, 20, 23))
+    x[0, 3, 4] = np.nan
+    x[0, 0, 0] = np.inf
+    x[1, 10, 0], x[1, 12, 2] = np.inf, -np.inf  # their sum is NaN where both reach
+    with np.errstate(invalid="ignore"):
+        for sigma in (pipeline.BLUR_SIGMA, 2.5):
+            got, ref = pipeline._gaussian_blur(x, sigma), _scipy_blur(x, sigma)
+            assert np.isnan(got).any() and np.isinf(got).any()
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_synth_degrade_is_the_scipy_blur_subsampled_plus_noise(channels):
+    rng = np.random.Generator(np.random.PCG64(31))
+    hr = rng.standard_normal((channels, 48, 34)).astype(np.float32)
+    noise = np.random.Generator(np.random.PCG64(4)).standard_normal((channels, 24, 17))
+    ref = _scipy_blur(hr.astype(np.float64), pipeline.BLUR_SIGMA)[:, ::2, ::2]
+    ref = (ref + pipeline.NOISE_SIGMA * noise).astype(np.float32)
+    lr = synth_degrade(hr, pipeline.BLUR_SIGMA, pipeline.NOISE_SIGMA, 2, seed=4)
+    assert np.array_equal(lr, ref)
+
+
+def test_make_scene_bits_are_pinned():
+    # recorded when the base was built from full (h, w) coordinate grids and
+    # the blur was scipy's
+    scene = make_scene(48, 80, seed=3, channels=3, texture_frac=0.5)
+    digest = hashlib.sha256()
+    for a in (scene.hr, scene.lr, scene.texture_mask):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == ("eddcb849c6fc0917d0019ee8ed4535ce"
+                                  "1ef6e2161e489059b86568c50ac0fac7")
 
 
 def test_nearest_upsample_examples():
