@@ -541,7 +541,10 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     # both.  im2col + GEMM in bands of max(1, 4096 // (width * k)) output
     # rows, k = _workers() (1 on a small grid, see above), so the k column
     # buffers together stay near 4096 cells, the fastest single band probed
-    # at 512x512, where the whole column matrix would take ~300 MB.
+    # at 512x512, where the whole column matrix would take ~300 MB; half
+    # that budget saves about 3 MB of buffers there but made the GRM 3-9%
+    # slower on two threads of a 2-vCPU Xeon.  x may be float32 or float64:
+    # the band fill copies it into float64 buffers, casting exactly.
     # The rows fall into super-bands: one band for one conv, and for two
     # the fewest whole bands of at least 2^13 cells, a last one of under a
     # band joining the one above.  _on_cpus hands them out to k runs, k
@@ -673,7 +676,7 @@ def _heads_sink(p, x, y_hr, conf, h2, sig):
     Each einsum sums over f, the contiguous axis here as in a whole
     channels-last h2, and each elementwise step is that of the whole-grid
     expression, so the bits are those of the heads run on a whole
-    channels-last h2.
+    channels-last h2.  A float32 x is cast exactly in the residual add.
     """
     fw, fb, cw, cb = p["feat.w"], p["feat.b"][:, None], p["conf.w"], p["conf.b"][0]
 
@@ -736,7 +739,12 @@ class GlobalRestorer:
         if y_lr.ndim != 3 or y_lr.shape[0] != self.channels:
             raise GridShapeError(f"expected ({self.channels}, h, w), got {y_lr.shape}")
         p = self.params
-        x = y_lr.astype(np.float64)
+        # inference reads a float32 or float64 grid as it is: the band fill
+        # and the heads' residual add cast float32 to float64 exactly, as a
+        # copy would; training keeps a float64 copy for the backward
+        x = y_lr
+        if want_cache or x.dtype not in (np.float32, np.float64):
+            x = y_lr.astype(np.float64)
         c, h, w = x.shape
         f = len(p["conv1.w"])
         y_hr, conf = np.empty((c, h, w)), np.empty((1, h, w))

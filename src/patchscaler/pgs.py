@@ -81,19 +81,17 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _patch_rng(seed: int, indices, out: np.ndarray) -> None:
+def _patch_rng(gen: np.random.Generator, words: np.ndarray, out: np.ndarray) -> None:
     """Fill out[k] with the standard normals of
-    Generator(PCG64(SeedSequence([seed, indices[k]]))), same bits, so noise
-    depends only on (run seed, patch index), never on group scheduling.
+    Generator(PCG64(SeedSequence([seed, i]))), same bits, where words[k] is
+    _seed_words(seed, [i])[0]: noise depends only on (run seed, patch
+    index), never on group scheduling.
 
-    One reused PCG64 takes each patch's hashed words as PCG64's seeding
-    does: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc.
-    Every index must be a uint32, as run_group checks.
+    gen's PCG64 takes each patch's hashed words as PCG64's seeding does:
+    inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc.
     """
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    words = _seed_words(seed, np.array(indices, np.uint32)).tolist()
-    for e, (w0, w1, w2, w3) in zip(out, words):
+    bitgen = gen.bit_generator
+    for e, (w0, w1, w2, w3) in zip(out, words.tolist()):
         inc = ((w2 << 64 | w3) << 1 | 1) & _M128
         state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
@@ -111,40 +109,44 @@ _CHUNK_CELLS = 1 << 14
 def run_group(denoiser, s: NoiseSchedule, patches, tau: int, n: int,
               indices, prompts=None, seed: int = 0) -> np.ndarray:
     """Truncated-forward initialization then an n-step reverse ladder for
-    the whole group, in chunks of at most _CHUNK_CELLS cells (one patch at
-    least).
+    a group of (c, V, V) patches, a sequence of arrays or one stack, in
+    chunks of at most _CHUNK_CELLS cells (one patch at least).
 
-    Each chunk is a (b, c, V, V) batch that walks the whole ladder, one
-    denoiser call per step, before the next starts: exactly n evaluations
-    per patch, none for an empty group.  Noise for patches[k] is drawn
-    from (seed, indices[k]), its index in the image, for the whole group
-    at once, so results are order independent and do not depend on the
-    chunking; a negative seed, or an index outside [0, 2**32), raises
+    Each chunk is stacked into a (b, c, V, V) batch, noised and walked down
+    the whole ladder, one denoiser call per step, before the next is
+    stacked, so the group is never held as one input or noise array:
+    exactly n evaluations per patch, none for an empty group.  The seed
+    words of every (seed, indices[k]), patches[k]'s index in the image, are
+    hashed once for the group; each chunk draws its noise from its slice of
+    them, so results are order independent and do not depend on the
+    chunking.  A negative seed, or an index outside [0, 2**32), raises
     ConfigError.  A non-finite sample raises NumericError.
     """
-    y0 = np.asarray(patches)
     ladder = make_substeps(tau, n)  # rejects n > tau, even for an empty group
-    if len(indices) != len(y0) or (prompts is not None and len(prompts) != len(y0)):
+    if len(indices) != len(patches) or (prompts is not None and len(prompts) != len(patches)):
         raise ConfigError("prompts/indices must align with patches")
     if seed < 0 or any(not 0 <= i < 1 << 32 for i in indices):
         raise ConfigError("seed must be >= 0 and patch indices in [0, 2**32)")
-    if not len(y0):
-        return y0
-    eps = np.empty(y0.shape)
-    _patch_rng(operator.index(seed), indices, eps)
-    eps = eps.astype(y0.dtype, copy=False)
-    size = max(1, _CHUNK_CELLS // y0[0].size)
+    if not len(patches):
+        return np.asarray(patches)
+    words = _seed_words(operator.index(seed), np.array(indices, np.uint32))
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded per patch
+    size = max(1, _CHUNK_CELLS // np.size(patches[0]))
     out = None
-    for lo in range(0, len(y0), size):
+    for lo in range(0, len(patches), size):
         chunk = slice(lo, lo + size)
+        y0 = np.asarray(patches[chunk])
+        eps = np.empty(y0.shape)
+        _patch_rng(gen, words[chunk], eps)
         chunk_prompts = None if prompts is None else prompts[chunk]
-        x = forward_sample(s, y0[chunk], tau, eps[chunk])  # the truncated-forward start
+        # the truncated-forward start
+        x = forward_sample(s, y0, tau, eps.astype(y0.dtype, copy=False))
         for t, t_next in zip(ladder, ladder[1:]):
             x = reverse_step(s, x, denoiser(x, t, chunk_prompts), t, t_next)
         if not np.isfinite(x).all():
             raise NumericError("sampled patches are not finite")
         if out is None:  # the dtype the ladder returns
-            out = np.empty(y0.shape, x.dtype)
+            out = np.empty((len(patches),) + y0.shape[1:], x.dtype)
         out[chunk] = x
     return out
 
@@ -153,11 +155,14 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
             prompts=None, seed: int = 0):
     """Partition patches by difficulty and sample each group.
 
-    taus and steps are (simple, medium, hard) tuples: group g samples from
-    intermediate step taus[g] with steps[g] denoiser calls per patch and is
-    written at its indices into one float64 (N, c, V, V) result.
+    patches is a sequence of (c, V, V) arrays, such as decompose's views;
+    each group gets the list of its own and run_group stacks them a chunk
+    at a time, so the N patches are never stacked whole.  taus and steps
+    are (simple, medium, hard) tuples: group g samples from intermediate
+    step taus[g] with steps[g] denoiser calls per patch, its noise drawn
+    per chunk from seed words hashed once for the group, and is written at
+    its indices into one float64 (N, c, V, V) result.
     """
-    patches = np.asarray(patches)
     if len(qmap) != len(patches):
         raise ConfigError("qmap must label every patch")
     if prompts is None:
@@ -165,14 +170,17 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
     elif len(prompts) != len(patches):
         raise ConfigError("prompts/indices must align with patches")
     t0 = time.perf_counter()
-    results = np.empty(patches.shape)
+    results = np.empty((len(patches), *np.shape(patches[0])) if len(patches) else 0)
     group_counts, group_nfe = {}, {}
     for label, tau, n in zip(GroupLabel, taus, steps, strict=True):
         idx = [i for i, lab in enumerate(qmap) if lab is label]
         group_counts[label] = len(idx)
         group_nfe[label] = len(idx) * n
-        results[idx] = run_group(denoiser, s, patches[idx], tau, n, idx,
-                                 prompts=[prompts[i] for i in idx], seed=seed)
+        group = run_group(denoiser, s, [patches[i] for i in idx], tau, n, idx,
+                          prompts=[prompts[i] for i in idx], seed=seed)
+        if idx:  # an empty group's result has no patch shape
+            results[idx] = group
+        del group  # before the next group samples
     report = PgsReport(
         group_counts=group_counts,
         group_nfe=group_nfe,
@@ -181,4 +189,3 @@ def run_pgs(denoiser, s: NoiseSchedule, patches, qmap, taus, steps,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     return results, report
-

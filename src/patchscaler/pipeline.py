@@ -241,6 +241,15 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
+def _prompt(memory, patch, extractor, topk: int):
+    """The patch's retrieved prompt; None, the unconditional fallback, for a
+    query with no texture features."""
+    try:
+        return retrieve_topk(memory, patch, extractor, topk)
+    except DegenerateQueryError:
+        return None
+
+
 def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
                  memory=None, extractor=None):
     """Full restoration pass; returns (sr_image, PgsReport).
@@ -273,23 +282,23 @@ def superresolve(cfg: PipelineConfig, lr_image: np.ndarray, grm, denoiser,
     with _stage("qmap"):
         patches, grid = decompose(y_hr, cfg.patch, cfg.overlap)
         qmap = build_qmap(conf, grid, cfg.thresholds())
+    # each stage drops what no later stage reads, so an image never holds
+    # two whole-grid copies it does not need
+    del conf
     prompts = None
     if memory is not None:
         with _stage("retrieve"):
             if extractor is None:
                 extractor = memory.extractor()
-            prompts = []
-            for p in patches:
-                try:
-                    prompts.append(retrieve_topk(memory, p, extractor, cfg.topk))
-                except DegenerateQueryError:
-                    prompts.append(None)  # unconditional fallback
+            prompts = [_prompt(memory, p, extractor, cfg.topk) for p in patches]
     with _stage("pgs"):
         restored, report = run_pgs(denoiser, cfg.schedule(), patches, qmap,
                                    cfg.taus, cfg.steps, prompts=prompts,
                                    seed=cfg.seed)
+    del patches, y_hr
     with _stage("recompose"):
         sr = recompose(restored, grid)
+        del restored
         if cfg.colornorm:
             sr = wavelet_color_normalize(sr, lr_up, cfg.levels)
         sr = sr[:, :orig[0], :orig[1]]

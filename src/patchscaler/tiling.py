@@ -55,7 +55,12 @@ def decompose(feature: np.ndarray, V: int, overlap: int) -> tuple[list[np.ndarra
 
 
 def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Uniform-average blend of a (N, c, V, V) patch stack onto the source grid."""
+    """Uniform-average blend of a (N, c, V, V) patch stack onto the source grid.
+
+    The float64 sum and the coverage are the only whole-grid arrays made:
+    the sum is scaled in place by the coverage's reciprocal, the bits of
+    sum * (1 / cover), and returned, cast only when patches are not float64.
+    """
     patches = np.asarray(patches)
     c, h, w = grid.shape
     V = grid.V
@@ -69,5 +74,5 @@ def recompose(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     cover = np.outer(_window_counts(grid.tops, V, h), _window_counts(grid.lefts, V, w))
     if np.any(cover == 0):
         raise GridShapeError("patch grid does not cover the source grid")
-    out = acc * (1.0 / cover)[None, :, :]
-    return out.astype(patches.dtype, copy=False)
+    acc *= np.divide(1.0, cover, out=cover)
+    return acc.astype(patches.dtype, copy=False)

@@ -828,6 +828,28 @@ def test_grm_inference_holds_neither_hidden_layer(workers, monkeypatch):
     assert peak < 0.6 * 16 * 512 * 512 * 8
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape", [(1, 256, 256), (3, 33, 74)])
+def test_grm_inference_reads_a_float32_grid_as_its_float64_copy(shape, workers, monkeypatch):
+    # inference makes no float64 copy of a float32 grid: the band fill and
+    # the heads' residual add cast it, on the pool (256x256 is threaded at
+    # two workers) as on the calling thread, to the bits of the copy's
+    # forward; training casts it once for the backward
+    monkeypatch.setattr(models, "_WORKERS", workers)
+    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, workers - 1)))
+    rng = np.random.Generator(np.random.PCG64(24))
+    grm = _random_grm(rng, shape[0])
+    x = rng.standard_normal(shape).astype(np.float32)
+    try:
+        got, ref = grm.forward(x), grm.forward(x.astype(np.float64))
+        cached = grm.forward(x, want_cache=True)
+    finally:
+        models._pool.shutdown()
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(cached[:2], ref))
+    assert cached[2][0].dtype == np.float64
+
+
 def test_grm_forward_contract():
     grm = GlobalRestorer(channels=1, hidden=4, seed=0)
     rng = np.random.Generator(np.random.PCG64(5))

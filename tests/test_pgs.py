@@ -183,22 +183,58 @@ def test_seed_words_match_seed_sequence(seed, indices):
     assert got.dtype == np.uint64 and np.array_equal(got, ref)
 
 
-def test_patch_rng_called_once_per_nonempty_group(schedule1000, monkeypatch):
+def test_patch_rng_called_once_per_chunk(schedule1000, monkeypatch):
     # perfbench traces pgs._patch_rng by name as pgs.rng_ms, so it must stay
-    # a module-level function that run_group calls once per group
-    calls = []
-    fill = pgs._patch_rng
+    # a module-level function.  run_group hashes a group's seed words once
+    # and calls it once per chunk, with the words of that chunk's indices
+    fill, hash_words = pgs._patch_rng, pgs._seed_words
+    calls, hashed = [], []
 
-    def counted(seed, indices, out):
-        calls.append(len(out))
-        fill(seed, indices, out)
+    def counted(gen, words, out):
+        calls.append(words.copy())
+        fill(gen, words, out)
+
+    def counted_hash(seed, index):
+        hashed.append(len(index))
+        return hash_words(seed, index)
 
     monkeypatch.setattr(pgs, "_patch_rng", counted)
+    monkeypatch.setattr(pgs, "_seed_words", counted_hash)
     rng = np.random.Generator(np.random.PCG64(16))
     patches = _patches(rng, 5)
-    run_pgs(_oracle(schedule1000), schedule1000, patches, [S, H, S, S, H],
-            TAUS, STEPS)
-    assert calls == [3, 2]
+    # a group per chunk at the default 2^14 cells; then two 1x4x4 patches a
+    # chunk, so Simple's three run as 2 + 1 and Hard's two as one chunk
+    for cells, chunks in ((pgs._CHUNK_CELLS, [[0, 2, 3], [1, 4]]),
+                          (2 * 16, [[0, 2], [3], [1, 4]])):
+        calls.clear()
+        hashed.clear()
+        monkeypatch.setattr(pgs, "_CHUNK_CELLS", cells)
+        run_pgs(_oracle(schedule1000), schedule1000, patches, [S, H, S, S, H],
+                TAUS, STEPS, seed=6)
+        assert hashed == [3, 2]
+        assert len(calls) == len(chunks)
+        for words, idx in zip(calls, chunks):
+            assert np.array_equal(words, hash_words(6, np.array(idx, np.uint32)))
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_run_group_of_several_chunks_keeps_the_serial_bits(schedule1000, monkeypatch, stack):
+    # three 1x4x4 patches a chunk: ten patches run as 3 + 3 + 3 + 1, from a
+    # list of patches or one stack, bit for bit as one patch at a time and
+    # as one run_group call per patch
+    monkeypatch.setattr(pgs, "_CHUNK_CELLS", 3 * 16)
+    rng = np.random.Generator(np.random.PCG64(23))
+    patches = _patches(rng, 10)
+    indices = [12, 3, 40, 7, 0, 25, 9, 31, 18, 5]
+    d = _oracle(schedule1000, var=0.6)
+    got = run_group(d, schedule1000, np.stack(patches) if stack else patches, 700, 14,
+                    indices, seed=4)
+    ref = _serial_run_group(lambda x, t, prompt: d(x, t), schedule1000, patches, 700, 14,
+                            [None] * 10, 4, indices)
+    assert got.shape == (10, 1, 4, 4) and np.array_equal(got, ref)
+    for k, i in enumerate(indices):
+        solo = run_group(d, schedule1000, [patches[k]], 700, 14, [i], seed=4)
+        assert np.array_equal(got[k], solo[0])
 
 
 def _logged(denoiser, batches):

@@ -227,9 +227,11 @@ def test_superresolve_deterministic():
 
 def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm, monkeypatch):
     # one oracle-512 benchmark image (scene 101, the oracle built from the LR
-    # grid as the CLI builds it) on 2 conv workers: its tracemalloc peak,
-    # about 20 MB, is under the 33.5 MB of one 16-channel float64 GRM hidden
-    # layer at 512x512; a GRM that made its whole h1 peaked at 45 MB here
+    # grid as the CLI builds it) on 2 conv workers.  Its tracemalloc peak,
+    # 13.9 MB, is the GRM's: y_hr, conf and two runs' band buffers; the
+    # bound is that plus 10%.  A sampler that stacked all 1849 patches and
+    # each group's input and noise peaked at 20.5 MB, and a GRM that made
+    # its whole 33.5 MB hidden layer h1 at 45 MB
     monkeypatch.setattr(models, "_WORKERS", 2)
     monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     cfg = PipelineConfig()
@@ -245,7 +247,7 @@ def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm, monkeypatc
     finally:
         tracemalloc.stop()
         models._pool.shutdown()
-    assert peak < 25e6
+    assert peak < 15.2e6
 
 
 class ReadOnlyGrm(BandGrm):
