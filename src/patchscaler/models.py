@@ -49,11 +49,15 @@ def _blas_threads():
     no OpenBLAS to ask."""
     try:
         with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line})
+            libs = sorted({line.split(maxsplit=5)[5].rstrip("\n")  # the pathname
+                           for line in f if "openblas" in line})
     except OSError:
         return 1
     for path in libs:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. "path (deleted)", a library replaced on disk
+            continue
         for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                      "openblas_get_num_threads"):
             get = getattr(lib, name, None)
@@ -526,38 +530,33 @@ def _windows(x):
     return win.transpose(1, 2, 0, 3, 4)
 
 
-# A GRM grid of fewer cells than _MIN_THREADED_CELLS (256x256) keeps its conv
-# trunk on the calling thread: its conv takes a few ms.  In 50 s benchmark
-# runs at 96x96 (2 vCPUs) a process whose conv had used the second thread
-# read about +10% per image and +37% on set-up against one that had not;
-# ten pairs whose DiT uses the pool there read set-up +7%, inside the
-# spread of set-up between processes.
-_MIN_THREADED_CELLS = 1 << 16
+# Cells of one conv's column buffers, shared by its k = _workers() runs: the
+# fastest single band probed at 512x512 (half that, 3 MB less, was 3-9% slower
+# on two threads of a 2-vCPU Xeon); the whole column matrix would be ~300 MB.
+_BAND_CELLS = 4096
+# Fewest cells of a two-conv super-band, the unit _on_cpus hands out: 16 rows
+# at 512x512, 32 for two threads, each computing conv1's two halo rows again.
+_SUPER_BAND_CELLS = 1 << 13
 
 
 def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     # The GRM's conv trunk: the 3x3 conv (w, b) of x and, with then =
     # (w2, b2, sink2), the 3x3 conv (w2, b2) of its output; tanh applies to
-    # both.  im2col + GEMM in bands of max(1, 4096 // (width * k)) output
-    # rows, k = _workers() (1 on a small grid, see above), so the k column
-    # buffers together stay near 4096 cells, the fastest single band probed
-    # at 512x512, where the whole column matrix would take ~300 MB; half
-    # that budget saves about 3 MB of buffers there but made the GRM 3-9%
-    # slower on two threads of a 2-vCPU Xeon.  x may be float32 or float64:
-    # the band fill copies it into float64 buffers, casting exactly.
-    # The rows fall into super-bands: one band for one conv, and for two
-    # the fewest whole bands of at least 2^13 cells, a last one of under a
-    # band joining the one above.  _on_cpus hands them out to k runs, k
-    # capped at the super-band count, each with column, result and input
-    # buffers of its own that the caller allocates; at k = 1 the pool
-    # starts no thread.
+    # both.  im2col + GEMM in bands of max(1, _BAND_CELLS // (width * k))
+    # output rows, k = _workers().  x may be float32 or float64: the band
+    # fill copies it into float64 buffers, casting exactly.
+    # The rows fall into super-bands: one band for one conv, and for two the
+    # fewest whole bands of at least _SUPER_BAND_CELLS, a last one of under a
+    # band joining the one above.  _on_cpus hands them out to k runs, k capped
+    # at the super-band count, each with column, result and input buffers of
+    # its own that the caller allocates; at k = 1 the pool starts no thread.
     # For a super-band [r0, r1) of two convs a run computes the first conv's
     # rows [r0 - 1, r1 + 1) into a zero-bordered buffer of its own and the
     # second's rows [r0, r1) from it, so no whole hidden layer is made and
-    # only the two halo rows are computed twice.  Each conv runs a
-    # super-band in the bands it has on the whole grid, the halo rows joining
-    # its first and last band: a band of its own, under ~75 cells, would
-    # move the bits (see below).
+    # only the two halo rows are computed twice.  Each conv runs a super-band
+    # in its fewest bands of at most band rows, as even as the rows allow, its
+    # halo rows joining the first and last: a one-row band, which a worker
+    # count could make and another not, moves the bits at width 1 (see below).
     # A band's channels-first (c, 3, 3, rows, width) column buffer is filled
     # from the 3x3 windows of its zero-bordered input rows in one copy.  The
     # GEMM stays (cells, 9c) @ (9c, f), on a transposed view of the column
@@ -587,9 +586,9 @@ def _conv3x3_forward(x, w, b, tanh=False, sink=None, then=None):
     convs = [(w, b, sink)] + ([then] if then else [])
     n = len(convs)
     layers = [(cw.reshape(len(cw), -1).T, cb, cs) for cw, cb, cs in convs]
-    k = _workers() if h_ * w_ >= _MIN_THREADED_CELLS else 1
-    band = max(1, 4096 // (w_ * k))
-    sup = band if n == 1 else band * -(-(1 << 13) // (band * w_))
+    k = _workers()
+    band = max(1, _BAND_CELLS // (w_ * k))
+    sup = band if n == 1 else band * -(-_SUPER_BAND_CELLS // (band * w_))
     starts = range(0, max(1, h_ - band + 1), sup)
     k = min(k, len(starts))
     # conv j's input channels, most input rows of a super-band, most band cells
@@ -632,9 +631,10 @@ def _conv_super_band(x, layers, sup, band, tanh, srcs, buf, o, r0):
         if nxt is not None:
             nxt[:, :a - r0 + m] = 0.0
             nxt[:, z - r0 + m:r1 - r0 + 2 * m] = 0.0
-        for s in range(r0, r1, band):
-            lo = a if s == r0 else s
-            hi = z if s + band >= r1 else s + band
+        nb = -(-(r1 - r0) // band)
+        for i in range(nb):
+            lo = a if i == 0 else r0 + (r1 - r0) * i // nb
+            hi = z if i == nb - 1 else r0 + (r1 - r0) * (i + 1) // nb
             # output row r's window is wins[j] row r - r0 + m
             nc = (hi - lo) * w_
             cols = buf[:ci * 9 * nc].reshape(ci, 3, 3, hi - lo, w_)

@@ -1,8 +1,10 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from patchscaler import models
 from patchscaler.checkpoint import load_params, restore_into
 from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
                                 GlobalRestorer, PatchDiT,
@@ -26,6 +28,18 @@ class CountingDenoiser:
     def __call__(self, x_t, t, prompts=None):
         self.calls += len(x_t)
         return self.denoiser(x_t, t, prompts)
+
+
+@contextmanager
+def on_workers(k):
+    """models._WORKERS at k with a fresh pool of k - 1 threads, shut down after."""
+    saved, pool = (models._WORKERS, models._pool), models.ThreadPoolExecutor(max(1, k - 1))
+    models._WORKERS, models._pool = k, pool
+    try:
+        yield pool
+    finally:
+        pool.shutdown()
+        models._WORKERS, models._pool = saved
 
 
 def forward64(dit, x, t, prompts=None):

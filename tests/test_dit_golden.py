@@ -24,8 +24,8 @@ def _prompt(rng, k, patch):
 
 
 def _bench_case():
-    # the benchmark's DiT: patch 16, width 64, depth 2, 4 heads; chunks of
-    # one patch, K = 4 prompts
+    # the benchmark's DiT: patch 16, width 64, depth 2, 4 heads; attention
+    # items of one patch, all 6 in one inference chunk, K = 4 prompts
     dit = PatchDiT(channels=1, patch=16, width=64, depth=2, heads=4, seed=0)
     rng = np.random.Generator(np.random.PCG64(31))
     x = rng.standard_normal((6, 1, 16, 16)).astype(np.float32)
@@ -34,9 +34,10 @@ def _bench_case():
 
 
 def _chunked_case():
-    # 144 tokens and 4 heads: chunks of (1 << 18) // (4 * 144 * 144) = 3
-    # patches, so 10 patches make chunks of 3, 3, 3 and 1; the second chunk
-    # has no prompt, the others mix K = 3 prompts with None
+    # 144 tokens and 4 heads: attention items of (1 << 18) // (4 * 144 * 144)
+    # = 3 patches, so the 10 patches, one inference chunk, make self-attention
+    # items of 3, 3, 3 and 1; the second item has no prompt, the others mix
+    # K = 3 prompts with None
     dit = PatchDiT(channels=1, patch=12, width=32, depth=2, heads=4, seed=1)
     rng = np.random.Generator(np.random.PCG64(32))
     x = rng.standard_normal((10, 1, 12, 12)).astype(np.float32)

@@ -19,7 +19,7 @@ def _digest(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-# (1, 70, 300): 13-row conv bands (4096 // 300) that do not divide 70 rows;
+# (1, 70, 300): conv bands of at most 13 rows (4096 // 300), not dividing 70;
 # (3, 50, 200): a 3-channel input in 20-row bands
 @pytest.mark.parametrize("shape,seed", [((1, 70, 300), 21), ((3, 50, 200), 22)])
 def test_grm_forward_golden(shape, seed):

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from patchscaler.models import (GaussianOracleDenoiser, GaussianOracleStats,
 from patchscaler.rtm import RetrievalResult
 from patchscaler.schedule import build_linear_schedule, forward_sample
 
-from conftest import forward64
+from conftest import forward64, on_workers
 
 
 def _prompt(rng, k, channels, patch):
@@ -110,29 +112,24 @@ def _record_attention(monkeypatch):
     return calls
 
 
-def test_dit_chunks_match_per_patch_calls(monkeypatch):
+def test_dit_chunks_hold_four_items_per_worker(monkeypatch):
     # 144 tokens and 4 heads: items of (1 << 18) // (4 * 144 * 144) = 3
     # patches, and inference chunks of 4 items per usable CPU, here 2: 30
     # patches make chunks of 24 and 6.  Two K = 3 prompts and unprompted
-    # patches fall on both sides of the chunk boundary; the output is the
-    # per-patch calls' bit for bit
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
+    # patches fall on both sides of the chunk boundary
     dit = PatchDiT(channels=1, patch=12, width=16, depth=1, heads=4, seed=8)
     rng = np.random.Generator(np.random.PCG64(15))
     x = rng.standard_normal((30, 1, 12, 12)).astype(np.float32)
     ka, kb = _prompt(rng, 3, 1, 12), _prompt(rng, 3, 1, 12)
     prompts = [ka, None, kb, kb, ka, kb, ka, None, ka, kb] * 3
     calls = _record_attention(monkeypatch)
-    got = dit(x, 300, prompts)
+    with on_workers(2):
+        dit(x, 300, prompts)
     sa = [q[0] for pre, q, _, _ in calls if pre.endswith(".sa")]
     ca = [(q[0], kv[1]) for pre, q, kv, _ in calls if pre.endswith(".ca")]
     assert sa == [24, 6]
     # cross-attention runs once in each chunk, on the prompted patches only
     assert ca == [(19, 3), (5, 3)]
-    one = np.concatenate([dit(x[i:i + 1], 300, prompts[i:i + 1]) for i in range(30)])
-    assert np.array_equal(got, one)
-    models._pool.shutdown()
 
 
 def test_attention_softmax_over_keys_is_stable():
@@ -361,11 +358,11 @@ def _conv3x3_reference(x, w, b):
 # with one worker, bands of 4096 // width rows (more workers split them
 # further): 40 rows for width 100 and 13 for width 300, neither dividing the
 # height; width 48 fits a 48-row input in one band;
-# width 4100 > 4096 gives one-row bands; 3 channels at width 150 end in a
-# 300-cell band, which the (f, 9c) @ (9c, cells) GEMM gets wrong in the bits.
-# The halo: one row, where a band's first row is also its last; one and two
-# columns, where the left and right halo columns meet; a final band of one
-# row after full ones (81 = 2 * 40 + 1 at width 100, 14 = 13 + 1 at 300)
+# width 4100 > 4096 gives one-row bands; 3 channels at width 150, where the
+# (f, 9c) @ (9c, cells) GEMM gets some bands wrong in the bits.  The halo: one
+# row, where a band's first row is also its last; one and two columns, where
+# the left and right halo columns meet; a last super-band a row over a band
+# (81 = 2 * 40 + 1 at width 100, 14 = 13 + 1 at 300), run as two even bands
 @pytest.mark.parametrize("shape", [(1, 97, 100), (16, 50, 300), (1, 48, 48),
                                    (16, 48, 48), (1, 2, 4100), (3, 29, 150),
                                    (1, 1, 100), (1, 100, 1), (2, 60, 2),
@@ -400,29 +397,25 @@ def test_conv_writes_every_cell_of_a_channels_last_out():
 
 
 @pytest.fixture(params=[1, 2, 3, 4])
-def pool_workers(request, monkeypatch):
+def pool_workers(request):
     # the usable CPU count, with a pool of its own
-    monkeypatch.setattr(models, "_WORKERS", request.param)
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, request.param - 1)))
-    yield request.param
-    models._pool.shutdown()
+    with on_workers(request.param):
+        yield request.param
 
 
-def _serial_conv(monkeypatch, *args, **kwargs):
-    with monkeypatch.context() as m:
-        m.setattr(models, "_WORKERS", 1)
+def _serial_conv(*args, **kwargs):
+    with on_workers(1):
         return _conv3x3_forward(*args, **kwargs)
 
 
 # the two GRM golden inputs; a 512x512 GRM hidden layer; a grid inside one
-# band (20 rows, 30 wide); a short last band after full ones at every worker
-# count (81 rows at width 100); width 1 (3000 rows); and the channels-last
-# bands a sink gets, as conv2's do
+# band (20 rows, 30 wide); a last super-band of over a band, run as two even
+# bands, at every worker count (81 rows at width 100); width 1 (3000 rows);
+# and the channels-last bands a sink gets, as conv2's do
 @pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (16, 512, 512),
                                    (16, 20, 30), (16, 81, 100), (16, 3000, 1),
                                    "channels-last"])
-def test_threaded_conv_keeps_the_serial_bits(shape, pool_workers, monkeypatch):
+def test_threaded_conv_keeps_the_serial_bits(shape, pool_workers):
     last = shape == "channels-last"
     if last:
         shape = (16, 29, 150)
@@ -430,7 +423,7 @@ def test_threaded_conv_keeps_the_serial_bits(shape, pool_workers, monkeypatch):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((16, shape[0], 3, 3))
     b = rng.standard_normal(16)
-    ref = _serial_conv(monkeypatch, x, w, b)
+    ref = _serial_conv(x, w, b)
 
     def conv(**kw):
         if not last:
@@ -442,25 +435,22 @@ def test_threaded_conv_keeps_the_serial_bits(shape, pool_workers, monkeypatch):
     assert np.array_equal(conv(tanh=True), np.tanh(ref))
 
 
-def test_conv_hands_out_every_band_once_under_fast_thread_switches(monkeypatch):
+def test_conv_hands_out_every_band_once_under_fast_thread_switches():
     # 8 threads on 94 bands of 32 rows take turns every microsecond: a band
     # no thread takes leaves NaN in out, and threads sharing a buffer garble it
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_WORKERS", 8)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
     rng = np.random.Generator(np.random.PCG64(17))
     x, w, b = rng.standard_normal((1, 3000, 16)), rng.standard_normal((16, 1, 3, 3)), np.zeros(16)
-    ref = _serial_conv(monkeypatch, x, w, b)
+    ref = _serial_conv(x, w, b)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            out = np.full((3000, 16, 16), np.nan)
-            _conv3x3_forward(x, w, b, tanh=True, sink=_channels_last_sink(out))
-            assert np.array_equal(out.transpose(2, 0, 1), np.tanh(ref))
+        with on_workers(8):
+            for _ in range(5):
+                out = np.full((3000, 16, 16), np.nan)
+                _conv3x3_forward(x, w, b, tanh=True, sink=_channels_last_sink(out))
+                assert np.array_equal(out.transpose(2, 0, 1), np.tanh(ref))
     finally:
         sys.setswitchinterval(interval)
-        models._pool.shutdown()
 
 
 class _RefusingPool:
@@ -473,22 +463,29 @@ def test_conv_hands_no_run_to_the_pool_for_one_worker_one_band_or_a_small_grid(m
     monkeypatch.setattr(models, "_pool", _RefusingPool())
     rng = np.random.Generator(np.random.PCG64(21))
     w, b = rng.standard_normal((4, 1, 3, 3)), rng.standard_normal(4)
-    # 9216 cells < 256 * 256 at 4 workers; 20 rows, one band of 34; 1 worker
-    for workers, min_cells, shape in ((4, 1 << 16, (1, 96, 96)), (4, 0, (1, 20, 30)),
-                                      (1, 0, (1, 100, 100))):
+    # 20 rows, one band of 34 at 4 workers; 1 worker
+    for workers, shape in ((4, (1, 20, 30)), (1, (1, 100, 100))):
         monkeypatch.setattr(models, "_WORKERS", workers)
-        monkeypatch.setattr(models, "_MIN_THREADED_CELLS", min_cells)
         x = rng.standard_normal(shape)
         assert np.array_equal(_conv3x3_forward(x, w, b), _conv3x3_reference(x, w, b))
+    # a 96x96 GRM trunk is one super-band at 1 to 4 workers: bands of
+    # 4096 // (96 k) = 42, 21, 14 and 10 rows make super-bands of at least
+    # 2^13 cells of 126, 105, 98 and 90 rows, a last 6 rows joining the 90
+    x = rng.standard_normal((1, 96, 96))
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        GlobalRestorer(channels=1, hidden=16, seed=0).forward(x)
 
 
 def test_grm_forward_on_a_small_grid_starts_no_thread():
-    # the pool is made at import and starts a thread only when handed a run;
-    # a 96x96 grid stays on the calling thread
+    # the pool is made at import and starts a thread only when handed a run,
+    # and a 96x96 GRM trunk, one super-band at 1 to 4 workers (see above),
+    # hands it none
     code = ("import threading\n"
             "import numpy as np\n"
-            "from patchscaler.models import GlobalRestorer\n"
-            "GlobalRestorer(channels=1, hidden=16, seed=0).forward(np.ones((1, 96, 96)))\n"
+            "from patchscaler import models\n"
+            "for models._WORKERS in (1, 2, 3, 4):\n"
+            "    models.GlobalRestorer(1, 16, seed=0).forward(np.ones((1, 96, 96)))\n"
             "assert threading.active_count() == 1, threading.enumerate()\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -514,12 +511,28 @@ def test_pool_threads_times_blas_threads_fit_the_usable_cpus(blas):
     assert (threads == 1) if blas == "1" else (threads in (1, cpus))
 
 
-def test_grm_forward_from_two_threads_at_once(pool_workers, monkeypatch):
+def test_blas_threads_reads_the_whole_pathname(monkeypatch, tmp_path):
+    # a maps pathname may hold spaces, and a library replaced on disk reads
+    # "path (deleted)", which will not load: then there is no OpenBLAS to ask.
+    # The loaded OpenBLAS libraries, linked into a directory with a space,
+    # give the thread count they give from where they are
+    with open("/proc/self/maps") as f:
+        loaded = {line.split(maxsplit=5)[5].rstrip("\n") for line in f if "openblas" in line}
+    (tmp_path / "site packages").mkdir()
+    spaced = [tmp_path / "site packages" / Path(lib).name for lib in loaded]
+    for link, lib in zip(spaced, loaded):
+        link.symlink_to(lib)
+    for paths, want in ((["/gone/libopenblas.so (deleted)"], 1), (spaced, models._blas_threads())):
+        maps = "".join(f"7f00-7f10 r-xp 00000000 08:01 42    {path}\n" for path in paths)
+        monkeypatch.setattr(models, "open", lambda name: io.StringIO(maps), raising=False)
+        assert models._blas_threads() == want
+
+
+def test_grm_forward_from_two_threads_at_once(pool_workers):
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
     rng = np.random.Generator(np.random.PCG64(15))
     inputs = [rng.standard_normal((1, 96, 200)), rng.standard_normal((1, 70, 300))]
-    with monkeypatch.context() as m:
-        m.setattr(models, "_WORKERS", 1)
+    with on_workers(1):
         expected = [grm.forward(x) for x in inputs]
     start = threading.Barrier(2, timeout=60)
     got = [[], []]
@@ -540,34 +553,26 @@ def test_grm_forward_from_two_threads_at_once(pool_workers, monkeypatch):
             assert np.array_equal(y_hr, exp[0]) and np.array_equal(conf, exp[1])
 
 
-def test_conv_does_not_wait_for_a_busy_pool(monkeypatch):
+def test_conv_does_not_wait_for_a_busy_pool():
     # with the pool's one thread held, the calling thread runs every band,
     # and the run still queued is cancelled rather than waited for
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    pool = models.ThreadPoolExecutor(1)
-    monkeypatch.setattr(models, "_pool", pool)
     release = threading.Event()
-    busy = pool.submit(release.wait, 30)
     rng = np.random.Generator(np.random.PCG64(16))
     x, w, b = rng.standard_normal((3, 50, 200)), rng.standard_normal((16, 3, 3, 3)), np.zeros(16)
-    try:
-        y = _conv3x3_forward(x, w, b)
-        assert not busy.done()
-    finally:
-        release.set()
-        pool.shutdown()
-    assert np.array_equal(y, _serial_conv(monkeypatch, x, w, b))
+    with on_workers(2) as pool:
+        busy = pool.submit(release.wait, 30)
+        try:
+            y = _conv3x3_forward(x, w, b)
+            assert not busy.done()
+        finally:
+            release.set()
+    assert np.array_equal(y, _serial_conv(x, w, b))
 
 
 def test_conv_worker_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     _fail_on_the_pool(monkeypatch, "_conv_super_band")
-    with pytest.raises(MemoryError, match="item failed"):
+    with on_workers(2), pytest.raises(MemoryError, match="item failed"):
         _conv3x3_forward(np.ones((1, 100, 100)), np.ones((4, 1, 3, 3)), np.zeros(4))
-    models._pool.shutdown()
 
 
 def _fail_on_the_pool(monkeypatch, name):
@@ -638,50 +643,35 @@ def _dit_case(patch, n):
     return dit, x, [(ka, kb, None, None, ka, None)[i % 6] for i in range(n)]
 
 
-def _serial_dit(monkeypatch, dit, x, t, prompts):
-    with monkeypatch.context() as m:
-        m.setattr(models, "_WORKERS", 1)
+def _serial_dit(dit, x, t, prompts):
+    with on_workers(1):
         return dit(x, t, prompts)
 
 
-# items of 1, 3 and 16 patches; 19, 29 and 40 patches make several items,
-# and at 2 or more workers a chunk boundary as well for patch 16 and 12
-@pytest.mark.parametrize("patch, n", [(16, 19), (12, 29), (8, 40)])
-def test_threaded_dit_keeps_the_serial_bits(patch, n, pool_workers, monkeypatch):
-    dit, x, prompts = _dit_case(patch, n)
-    for t in (1, 500, 1000):
-        assert np.array_equal(dit(x, t, prompts), _serial_dit(monkeypatch, dit, x, t, prompts))
-
-
-def test_dit_hands_out_every_item_once_under_fast_thread_switches(monkeypatch):
+def test_dit_hands_out_every_item_once_under_fast_thread_switches():
     # 8 threads on 10 items of 3 patches take turns every microsecond
     dit, x, prompts = _dit_case(12, 29)
-    ref = _serial_dit(monkeypatch, dit, x, 500, prompts)
-    monkeypatch.setattr(models, "_WORKERS", 8)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
+    ref = _serial_dit(dit, x, 500, prompts)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            assert np.array_equal(dit(x, 500, prompts), ref)
+        with on_workers(8):
+            for _ in range(3):
+                assert np.array_equal(dit(x, 500, prompts), ref)
     finally:
         sys.setswitchinterval(interval)
-        models._pool.shutdown()
 
 
 def test_dit_worker_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     _fail_on_the_pool(monkeypatch, "_attn_patches")
     dit, x, prompts = _dit_case(16, 8)
-    with pytest.raises(MemoryError, match="item failed"):
+    with on_workers(2), pytest.raises(MemoryError, match="item failed"):
         dit(x, 500, prompts)
-    models._pool.shutdown()
 
 
-def test_dit_called_from_two_threads_at_once(pool_workers, monkeypatch):
+def test_dit_called_from_two_threads_at_once(pool_workers):
     cases = [_dit_case(16, 11), _dit_case(12, 29)]
-    expected = [_serial_dit(monkeypatch, dit, x, 500, pr) for dit, x, pr in cases]
+    expected = [_serial_dit(dit, x, 500, pr) for dit, x, pr in cases]
     start = threading.Barrier(2, timeout=60)
     got = [[], []]
 
@@ -700,21 +690,18 @@ def test_dit_called_from_two_threads_at_once(pool_workers, monkeypatch):
         assert len(outs) == 3 and all(np.array_equal(out, exp) for out in outs)
 
 
-def test_dit_does_not_wait_for_a_busy_pool(monkeypatch):
+def test_dit_does_not_wait_for_a_busy_pool():
     # with the pool's one thread held, the calling thread runs every item
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    pool = models.ThreadPoolExecutor(1)
-    monkeypatch.setattr(models, "_pool", pool)
     release = threading.Event()
-    busy = pool.submit(release.wait, 30)
     dit, x, prompts = _dit_case(16, 8)
-    try:
-        out = dit(x, 500, prompts)
-        assert not busy.done()
-    finally:
-        release.set()
-        pool.shutdown()
-    assert np.array_equal(out, _serial_dit(monkeypatch, dit, x, 500, prompts))
+    with on_workers(2) as pool:
+        busy = pool.submit(release.wait, 30)
+        try:
+            out = dit(x, 500, prompts)
+            assert not busy.done()
+        finally:
+            release.set()
+    assert np.array_equal(out, _serial_dit(dit, x, 500, prompts))
 
 
 def _random_grm(rng, channels):
@@ -728,7 +715,7 @@ def _random_grm(rng, channels):
 # one band, bands that do not divide the rows, and one-row bands
 @pytest.mark.parametrize("shape", [(1, 70, 300), (3, 50, 200), (1, 9, 40),
                                    (3, 33, 74), (1, 5, 1), (3, 2, 4100)])
-def test_fused_grm_heads_match_the_cached_forward(shape, pool_workers, monkeypatch):
+def test_fused_grm_heads_match_the_cached_forward(shape, pool_workers):
     # conv2's bands compute the heads; forward(x) must be the cached
     # forward's (y_hr, conf), and both the whole-grid heads on the cached
     # channels-last h2, bit for bit
@@ -740,8 +727,8 @@ def test_fused_grm_heads_match_the_cached_forward(shape, pool_workers, monkeypat
     assert np.array_equal(y_hr, y_c) and np.array_equal(conf, conf_c)
     assert h1.transpose(1, 2, 0).flags.c_contiguous  # channels-last
     assert h2.transpose(1, 2, 0).flags.c_contiguous
-    assert np.array_equal(h1, _serial_conv(monkeypatch, x, p["conv1.w"], p["conv1.b"], tanh=True))
-    assert np.array_equal(h2, _serial_conv(monkeypatch, h1, p["conv2.w"], p["conv2.b"], tanh=True))
+    assert np.array_equal(h1, _serial_conv(x, p["conv1.w"], p["conv1.b"], tanh=True))
+    assert np.array_equal(h2, _serial_conv(h1, p["conv2.w"], p["conv2.b"], tanh=True))
     feat = np.einsum("cf,fhw->chw", p["feat.w"], h2) + p["feat.b"][:, None, None]
     z = np.einsum("f,fhw->hw", p["conf.w"], h2)[None] + p["conf.b"][0]
     ref_sig = 1.0 / (1.0 + np.exp(-z))
@@ -749,28 +736,24 @@ def test_fused_grm_heads_match_the_cached_forward(shape, pool_workers, monkeypat
     assert np.array_equal(conf, CONF_FLOOR + (1.0 - CONF_FLOOR) * ref_sig)
 
 
-def test_grm_heads_under_fast_thread_switches(monkeypatch):
+def test_grm_heads_under_fast_thread_switches():
     # 6 threads write the heads of 6 super-bands (94 bands of 32 rows),
     # taking turns every microsecond: a band written twice, or not at all,
     # moves the bits
     rng = np.random.Generator(np.random.PCG64(20))
     grm, x = _random_grm(rng, 1), rng.standard_normal((1, 3000, 16))
-    with monkeypatch.context() as m:
-        m.setattr(models, "_WORKERS", 1)
+    with on_workers(1):
         ref = grm.forward(x, want_cache=True)
-    monkeypatch.setattr(models, "_MIN_THREADED_CELLS", 0)
-    monkeypatch.setattr(models, "_WORKERS", 8)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(7))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for want_cache in (False, True):
-            got = grm.forward(x, want_cache=want_cache)
-            assert all(np.array_equal(a, b) for a, b in zip(got[:2], ref[:2]))
+        with on_workers(8):
+            for want_cache in (False, True):
+                got = grm.forward(x, want_cache=want_cache)
+                assert all(np.array_equal(a, b) for a, b in zip(got[:2], ref[:2]))
         assert all(np.array_equal(a, b) for a, b in zip(got[2], ref[2]))
     finally:
         sys.setswitchinterval(interval)
-        models._pool.shutdown()
 
 
 def _two_pass_forward(grm, x):
@@ -787,8 +770,8 @@ def _two_pass_forward(grm, x):
 
 def _super_band(width, workers):
     # the rows of a band and of a super-band of the two-conv trunk
-    band = max(1, 4096 // (width * workers))
-    return band, band * -(-(1 << 13) // (band * width))
+    band = max(1, models._BAND_CELLS // (width * workers))
+    return band, band * -(-models._SUPER_BAND_CELLS // (band * width))
 
 
 @pytest.mark.parametrize("channels", [1, 3, 4])
@@ -808,43 +791,39 @@ def test_fused_trunk_keeps_the_bits_of_two_conv_calls(channels, pool_workers):
             got = (y_hr, conf, h1.transpose(1, 2, 0), h2.transpose(1, 2, 0), sig)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (width, h)
             assert all(np.array_equal(a, b) for a, b in zip(grm.forward(x), ref))
+            with on_workers(1):  # band heights here depend on the worker count
+                assert all(np.array_equal(a, b) for a, b in zip(grm.forward(x), ref)), (width, h)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_grm_inference_holds_neither_hidden_layer(workers, monkeypatch):
+def test_grm_inference_holds_neither_hidden_layer(workers):
     # at 512x512 h1 takes 16 * 512^2 * 8 B = 33.5 MB; a forward that made
     # the whole h1 peaks near 46 MB, and one that also held h2 near 80 MB
-    monkeypatch.setattr(models, "_WORKERS", workers)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, workers - 1)))
     grm = GlobalRestorer(channels=1, hidden=16, seed=0)
     x = np.random.Generator(np.random.PCG64(19)).standard_normal((1, 512, 512))
     tracemalloc.start()
     try:
-        grm.forward(x)
+        with on_workers(workers):
+            grm.forward(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        models._pool.shutdown()
     assert peak < 0.6 * 16 * 512 * 512 * 8
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("shape", [(1, 256, 256), (3, 33, 74)])
-def test_grm_inference_reads_a_float32_grid_as_its_float64_copy(shape, workers, monkeypatch):
+def test_grm_inference_reads_a_float32_grid_as_its_float64_copy(shape, workers):
     # inference makes no float64 copy of a float32 grid: the band fill and
     # the heads' residual add cast it, on the pool (256x256 is threaded at
     # two workers) as on the calling thread, to the bits of the copy's
     # forward; training casts it once for the backward
-    monkeypatch.setattr(models, "_WORKERS", workers)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(max(1, workers - 1)))
     rng = np.random.Generator(np.random.PCG64(24))
     grm = _random_grm(rng, shape[0])
     x = rng.standard_normal(shape).astype(np.float32)
-    try:
+    with on_workers(workers):
         got, ref = grm.forward(x), grm.forward(x.astype(np.float64))
         cached = grm.forward(x, want_cache=True)
-    finally:
-        models._pool.shutdown()
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     assert all(np.array_equal(a, b) for a, b in zip(cached[:2], ref))
     assert cached[2][0].dtype == np.float64

@@ -137,16 +137,6 @@ def test_run_group_deterministic(schedule1000):
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_run_group_order_independent_noise(schedule1000):
-    # the same patch index gets the same noise whatever batch it rides in
-    rng = np.random.Generator(np.random.PCG64(3))
-    patches = _patches(rng, 3)
-    d = _oracle(schedule1000)
-    full = run_group(d, schedule1000, patches, 400, 8, seed=5, indices=[0, 1, 2])
-    solo = run_group(d, schedule1000, [patches[2]], 400, 8, seed=5, indices=[2])
-    assert np.array_equal(full[2], solo[0])
-
-
 def test_run_group_errors(schedule1000):
     rng = np.random.Generator(np.random.PCG64(4))
     patches = _patches(rng, 2)
@@ -186,9 +176,15 @@ def test_seed_words_match_seed_sequence(seed, indices):
 def test_patch_rng_called_once_per_chunk(schedule1000, monkeypatch):
     # perfbench traces pgs._patch_rng by name as pgs.rng_ms, so it must stay
     # a module-level function.  run_group hashes a group's seed words once
-    # and calls it once per chunk, with the words of that chunk's indices
+    # and calls it once per chunk, with the words of that chunk's indices,
+    # and walks each chunk down its whole ladder, one denoiser call per step,
+    # before it stacks the next
     fill, hash_words = pgs._patch_rng, pgs._seed_words
-    calls, hashed = [], []
+    oracle = _oracle(schedule1000)
+
+    def denoiser(x_t, t, prompts=None):
+        batches.append(len(x_t))
+        return oracle(x_t, t, prompts)
 
     def counted(gen, words, out):
         calls.append(words.copy())
@@ -203,16 +199,16 @@ def test_patch_rng_called_once_per_chunk(schedule1000, monkeypatch):
     rng = np.random.Generator(np.random.PCG64(16))
     patches = _patches(rng, 5)
     # a group per chunk at the default 2^14 cells; then two 1x4x4 patches a
-    # chunk, so Simple's three run as 2 + 1 and Hard's two as one chunk
-    for cells, chunks in ((pgs._CHUNK_CELLS, [[0, 2, 3], [1, 4]]),
-                          (2 * 16, [[0, 2], [3], [1, 4]])):
-        calls.clear()
-        hashed.clear()
+    # chunk, so Simple's three run as 2 + 1 and Hard's two as one chunk; the
+    # Simple ladder takes 8 steps and the Hard one 20
+    for cells, chunks, sizes in ((pgs._CHUNK_CELLS, [[0, 2, 3], [1, 4]], [3] * 8 + [2] * 20),
+                                 (2 * 16, [[0, 2], [3], [1, 4]],
+                                  [2] * 8 + [1] * 8 + [2] * 20)):
+        calls, hashed, batches = [], [], []
         monkeypatch.setattr(pgs, "_CHUNK_CELLS", cells)
-        run_pgs(_oracle(schedule1000), schedule1000, patches, [S, H, S, S, H],
-                TAUS, STEPS, seed=6)
+        run_pgs(denoiser, schedule1000, patches, [S, H, S, S, H], TAUS, STEPS, seed=6)
         assert hashed == [3, 2]
-        assert len(calls) == len(chunks)
+        assert len(calls) == len(chunks) and batches == sizes
         for words, idx in zip(calls, chunks):
             assert np.array_equal(words, hash_words(6, np.array(idx, np.uint32)))
 
@@ -235,71 +231,6 @@ def test_run_group_of_several_chunks_keeps_the_serial_bits(schedule1000, monkeyp
     for k, i in enumerate(indices):
         solo = run_group(d, schedule1000, [patches[k]], 700, 14, [i], seed=4)
         assert np.array_equal(got[k], solo[0])
-
-
-def _logged(denoiser, batches):
-    # records the batch size of every denoiser call
-    def call(x_t, t, prompts=None):
-        batches.append(len(x_t))
-        return denoiser(x_t, t, prompts)
-    return call
-
-
-def _run_pgs_logged(monkeypatch, cells, s, denoiser, patches, qmap, prompts=None):
-    # run_pgs at a chunk of the given cells; the batch of every call is logged
-    batches = []
-    with monkeypatch.context() as m:
-        m.setattr(pgs, "_CHUNK_CELLS", cells)
-        counted = CountingDenoiser(_logged(denoiser, batches))
-        results, report = run_pgs(counted, s, patches, qmap, TAUS, STEPS,
-                                  prompts=prompts, seed=9)
-    assert report.total_nfe == counted.calls
-    return results, report, batches
-
-
-def _ledger(report):
-    return report.group_counts, report.group_nfe, report.total_nfe, report.unified_nfe
-
-
-def test_chunked_ladders_keep_the_bits_and_the_ledger(schedule1000, monkeypatch):
-    # 16x16x1 patches at the default 2^14 cells: 64 a chunk, so Simple's 150
-    # run as 64 + 64 + 22 and Medium's 64 as one chunk; every group in one
-    # chunk is the reference
-    rng = np.random.Generator(np.random.PCG64(17))
-    patches = _patches(rng, 224, (1, 16, 16))
-    qmap = [S] * 150 + [M] * 64 + [H] * 10
-    rng.shuffle(qmap)
-    oracle = _oracle(schedule1000, var=0.8)
-    got, report, batches = _run_pgs_logged(monkeypatch, pgs._CHUNK_CELLS, schedule1000,
-                                           oracle, patches, qmap)
-    ref, ref_report, ref_batches = _run_pgs_logged(monkeypatch, 1 << 30, schedule1000,
-                                                   oracle, patches, qmap)
-    assert np.array_equal(got, ref)
-    assert _ledger(report) == _ledger(ref_report)
-    # steps * ceil(group / 64) calls, each chunk walking its whole ladder
-    assert batches == [64] * 8 + [64] * 8 + [22] * 8 + [64] * 14 + [10] * 20
-    assert ref_batches == [150] * 8 + [64] * 14 + [10] * 20
-
-
-@pytest.mark.parametrize("patch", [8, 12, 16])
-def test_chunked_dit_ladders_keep_the_bits(schedule1000, monkeypatch, patch):
-    # five patches a chunk: Simple's 7 run as 5 + 2, Medium's 4 as one chunk;
-    # prompted and unprompted patches share chunks
-    rng = np.random.Generator(np.random.PCG64(18))
-    dit = PatchDiT(channels=1, patch=patch, width=16, depth=1, heads=2, seed=4)
-    patches = _patches(rng, 13, (1, patch, patch))
-    qmap = [S, M, S, H, S, S, M, S, H, M, S, M, S]
-    prompts = [None if i % 3 == 0 else RetrievalResult(
-        indices=np.arange(2), similarities=np.array([0.8, 0.3]),
-        priors=rng.standard_normal((2, 1, patch, patch)).astype(np.float32))
-        for i in range(13)]
-    got, report, batches = _run_pgs_logged(monkeypatch, 5 * patch * patch, schedule1000,
-                                           dit, patches, qmap, prompts)
-    ref, ref_report, _ = _run_pgs_logged(monkeypatch, 1 << 30, schedule1000, dit,
-                                         patches, qmap, prompts)
-    assert np.array_equal(got, ref)
-    assert _ledger(report) == _ledger(ref_report)
-    assert batches == [5] * 8 + [2] * 8 + [4] * 14 + [2] * 20
 
 
 def test_run_pgs_rejects_a_short_prompt_list(schedule1000):

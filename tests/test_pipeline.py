@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
-from patchscaler import models, pipeline
+from patchscaler import pipeline
 from patchscaler.confidence import GroupLabel
 from patchscaler.errors import (ConfigError, GridShapeError,
                                 MagicMismatchError, NumericError, StageError,
@@ -21,6 +21,7 @@ from patchscaler.pipeline import (PipelineConfig, benchmark, coerce_field,
 from patchscaler.rtm import TextureExtractor, build_memory
 from patchscaler.tiling import decompose
 
+from conftest import on_workers
 from test_golden import BandGrm, _lr
 
 
@@ -225,15 +226,13 @@ def test_superresolve_deterministic():
     assert not np.array_equal(sr1, sr3)
 
 
-def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm, monkeypatch):
+def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm):
     # one oracle-512 benchmark image (scene 101, the oracle built from the LR
     # grid as the CLI builds it) on 2 conv workers.  Its tracemalloc peak,
     # 13.9 MB, is the GRM's: y_hr, conf and two runs' band buffers; the
     # bound is that plus 10%.  A sampler that stacked all 1849 patches and
     # each group's input and noise peaked at 20.5 MB, and a GRM that made
     # its whole 33.5 MB hidden layer h1 at 45 MB
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", models.ThreadPoolExecutor(1))
     cfg = PipelineConfig()
     lr = make_scene(512, 512, seed=101, patch=cfg.patch, texture_frac=0.2,
                     factor=cfg.factor).lr
@@ -242,11 +241,11 @@ def test_superresolve_at_512_holds_no_whole_hidden_layer(trained_grm, monkeypatc
         cfg.schedule())
     tracemalloc.start()
     try:
-        superresolve(cfg, lr, trained_grm, denoiser)
+        with on_workers(2):
+            superresolve(cfg, lr, trained_grm, denoiser)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        models._pool.shutdown()
     assert peak < 15.2e6
 
 

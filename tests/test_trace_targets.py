@@ -10,8 +10,9 @@ import functools
 import importlib
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from conftest import on_workers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,8 +48,6 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     from patchscaler import models
     from patchscaler.rtm import RetrievalResult
 
-    monkeypatch.setattr(models, "_WORKERS", 2)
-    monkeypatch.setattr(models, "_pool", ThreadPoolExecutor(1))
     seen = {}
 
     def spy(fn, name):
@@ -81,12 +80,10 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch):
     prompt = RetrievalResult(indices=np.arange(3), similarities=np.ones(3, np.float32),
                              priors=rng.standard_normal((3, 1, 16, 16)).astype(np.float32))
     x = rng.standard_normal((12, 1, 16, 16)).astype(np.float32)
-    try:
+    with on_workers(2):
         dit(x, 500, [prompt, None, None] * 4)
         models.GlobalRestorer(channels=1, hidden=16, seed=0).forward(
             rng.standard_normal((1, 256, 256)))
-    finally:
-        models._pool.shutdown()
     caller = {threading.get_ident()}
     for span in ("models.dit_attn", "models.dit_prompt_encode", "models.grm_conv"):
         assert seen.get(span) == caller, span
